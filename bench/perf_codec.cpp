@@ -28,6 +28,8 @@
 #include "obs/timeseries.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
+#include "util/crc32.h"
+#include "util/gf64_fingerprint.h"
 #include "util/random.h"
 
 namespace {
@@ -324,6 +326,46 @@ void BM_SparseEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SparseEncode);
+
+// --- integrity kernels -----------------------------------------------------
+//
+// The per-frame checks of the receive path: the wire CRC over a whole
+// frame, the GF(2^64) Horner fingerprint over a payload, and the manifest
+// combine that predicts it from N coefficients. Roofline for the first two
+// is memory bandwidth.
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+void BM_Crc32(benchmark::State& state) {
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 11);
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 10)->Arg(64 << 10);
+
+void BM_Fingerprint(benchmark::State& state) {
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 12);
+  const util::Fingerprinter fp(12);
+  for (auto _ : state) benchmark::DoNotOptimize(fp.fingerprint(data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Fingerprint)->Arg(1 << 10)->Arg(64 << 10);
+
+void BM_FingerprintCombine(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto coeffs = random_bytes(n, 13);
+  Rng rng(13);
+  std::vector<std::uint64_t> fps(n);
+  for (auto& f : fps) f = rng();
+  const util::Fingerprinter fp(13);
+  for (auto _ : state) benchmark::DoNotOptimize(fp.combine(coeffs, fps));
+}
+BENCHMARK(BM_FingerprintCombine)->Arg(64)->Arg(256);
 
 // --- telemetry probe overhead ----------------------------------------------
 //

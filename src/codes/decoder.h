@@ -42,6 +42,8 @@ class PriorityDecoder {
 
   const PrioritySpec& spec() const { return spec_; }
   Scheme scheme() const { return scheme_; }
+  /// Payload symbols every coded block must carry (0 = coefficient-only).
+  std::size_t payload_size() const { return payload_size_; }
 
   /// Feed one coded block; returns true when it was innovative.
   bool add(const CodedBlock<F>& block) {

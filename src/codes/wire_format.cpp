@@ -13,6 +13,11 @@ constexpr std::uint8_t kMagic[4] = {'P', 'R', 'L', 'C'};
 constexpr std::uint8_t kVersion = 1;
 constexpr std::uint32_t kDense = 0;
 constexpr std::uint32_t kSparse = 1;
+/// Widest coefficient vector a frame may declare. An allocation guard at
+/// decode time (sparse frames describe widths far larger than themselves),
+/// enforced at encode time too so every frame encode_wire emits round-trips.
+constexpr std::size_t kMaxCoeffWidth = std::size_t{1} << 24;
+constexpr std::size_t kMaxU32 = 0xFFFFFFFFu;
 
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
@@ -98,6 +103,11 @@ Scheme scheme_from_byte(std::uint8_t b) {
 
 std::vector<std::uint8_t> encode_wire(Scheme scheme, const CodedBlockView& block) {
   PRLC_REQUIRE(!block.coeffs.empty(), "cannot serialize a block with no coefficients");
+  PRLC_REQUIRE(block.coeffs.size() <= kMaxCoeffWidth,
+               "coefficient width exceeds the wire format's 2^24 limit");
+  PRLC_REQUIRE(block.level <= kMaxU32, "level does not fit the wire format's u32 field");
+  PRLC_REQUIRE(block.payload.size() <= kMaxU32,
+               "payload size does not fit the wire format's u32 field");
 
   std::size_t nnz = 0;
   for (auto c : block.coeffs) nnz += c != 0 ? 1 : 0;
@@ -183,10 +193,7 @@ WireBlockView decode_wire_view(std::span<const std::uint8_t> bytes) {
   const std::uint32_t n = r.u32();
   const std::uint32_t payload_size = r.u32();
   if (n == 0) throw WireFormatError("zero coefficient width");
-  // Allocation guard only — sparse frames legitimately describe widths
-  // far larger than the frame itself, and the CRC already vouches for
-  // integrity.
-  if (n > (1u << 24)) throw WireFormatError("implausible coefficient width");
+  if (n > kMaxCoeffWidth) throw WireFormatError("implausible coefficient width");
   out.coeff_width = n;
   const std::uint32_t encoding = r.u32();
 
@@ -232,6 +239,10 @@ constexpr std::uint8_t kManifestVersion = 1;
 
 std::vector<std::uint8_t> encode_manifest(const util::FingerprintManifest& manifest) {
   PRLC_REQUIRE(manifest.block_size > 0, "manifest block size must be positive");
+  PRLC_REQUIRE(manifest.block_size <= kMaxU32,
+               "manifest block size does not fit the wire format's u32 field");
+  PRLC_REQUIRE(manifest.fingerprints.size() <= kMaxU32,
+               "manifest fingerprint count does not fit the wire format's u32 field");
   std::vector<std::uint8_t> out;
   out.reserve(25 + manifest.fingerprints.size() * 8);
   for (std::uint8_t m : kManifestMagic) out.push_back(m);

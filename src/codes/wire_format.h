@@ -10,7 +10,7 @@
 //   5       1     scheme (0 = RLC, 1 = SLC, 2 = PLC)
 //   6       2     reserved (0)
 //   8       4     level (0-indexed)
-//   12      4     N — total source blocks (coefficient vector width)
+//   12      4     N — total source blocks (coefficient vector width, <= 2^24)
 //   16      4     payload size in bytes
 //   20      4     coefficient encoding: 0 = dense, 1 = sparse
 //   24      ...   coefficients:
@@ -57,6 +57,9 @@ struct CodedBlockView {
 };
 
 /// Serialize a coded block (GF(2^8) symbols are bytes on the wire).
+/// Throws PreconditionError for a block no decoder would accept back: no
+/// coefficients, more than 2^24 of them, or a level or payload size that
+/// overflows its u32 field.
 std::vector<std::uint8_t> encode_wire(Scheme scheme, const CodedBlock<gf::Gf256>& block);
 
 /// Span-based twin of encode_wire: byte-identical output for identical
@@ -104,7 +107,8 @@ WireBlock decode_wire(std::span<const std::uint8_t> bytes);
 /// block size, u32 source-block count, count x u64 fingerprints, and the
 /// same trailing CRC-32 the block frames carry. A manifest is tiny (8
 /// bytes per source block) and independent of how many coded blocks
-/// exist.
+/// exist. Throws PreconditionError when the block size or fingerprint
+/// count overflows its u32 field.
 std::vector<std::uint8_t> encode_manifest(const util::FingerprintManifest& manifest);
 
 /// Parse and validate a manifest frame; throws WireFormatError on any

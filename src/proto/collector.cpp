@@ -128,7 +128,10 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   const auto deliver = [&](net::LocationId loc, const FetchReply& reply) {
     try {
       const codes::WireBlockView view = codes::decode_wire_view(reply.bytes);
-      if (view.scheme != decoder.scheme() || view.coeff_width != decoder.spec().total()) {
+      // Checked before fingerprinting: a CRC-valid frame of the wrong shape
+      // is a wire error, not evidence that its node forged a payload.
+      if (view.scheme != decoder.scheme() || view.coeff_width != decoder.spec().total() ||
+          view.payload.size() != decoder.payload_size()) {
         throw codes::WireFormatError("frame does not match this collection");
       }
       std::span<const std::uint8_t> coeffs = view.dense_coeffs;

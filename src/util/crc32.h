@@ -1,4 +1,9 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for wire-format integrity.
+//
+// Slicing-by-8: eight 256-entry tables (8 KiB, built once) fold 8 input
+// bytes per step with 8 independent lookups, so a frame costs about one
+// table lookup per byte with no serial byte-to-byte dependency; only the
+// final L mod 8 bytes take the one-table path.
 #pragma once
 
 #include <cstdint>

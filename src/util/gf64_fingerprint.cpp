@@ -1,5 +1,8 @@
 #include "util/gf64_fingerprint.h"
 
+#include <bit>
+#include <cstring>
+
 #include "util/check.h"
 #include "util/random.h"
 
@@ -21,7 +24,8 @@ std::uint64_t gf64_mul(std::uint64_t a, std::uint64_t b) {
   unsigned __int128 acc = 0;
   unsigned __int128 shifted = a;
   while (b != 0) {
-    if (b & 1) acc ^= shifted;
+    // Masked rather than branched: b's bits are data, not control flow.
+    acc ^= shifted & -static_cast<unsigned __int128>(b & 1);
     shifted <<= 1;
     b >>= 1;
   }
@@ -98,32 +102,109 @@ const std::array<std::uint64_t, 256>& embed_table() {
 
 std::uint64_t gf64_embed(std::uint8_t value) { return embed_table()[value]; }
 
+namespace {
+
+/// Fill a GF(2)-linear lookup table from its 8 single-bit entries:
+/// t[b] = xor of bit[i] over the set bits i of b.
+void expand_linear(std::array<std::uint64_t, 256>& t, const std::array<std::uint64_t, 8>& bit) {
+  t[0] = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::size_t half = std::size_t{1} << i;
+    for (std::size_t b = 0; b < half; ++b) t[half | b] = t[b] ^ bit[i];
+  }
+}
+
+/// The 8 payload bytes at `p` as one word, byte j in bits 8j..8j+7.
+std::uint64_t load_word(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  if constexpr (std::endian::native == std::endian::big) {
+    std::uint64_t le = 0;
+    for (int j = 0; j < 8; ++j) le |= ((w >> (8 * (7 - j))) & 0xff) << (8 * j);
+    w = le;
+  }
+  return w;
+}
+
+/// Fold the 8-bit column planes of a coefficient vector:
+/// sum_i embed(2^i) * plane[i] = sum_j embed(c_j) * fp_j (embed is
+/// GF(2)-linear, embed(1) = 1).
+std::uint64_t finish_planes(const std::array<std::uint64_t, 8>& plane) {
+  const std::array<std::uint64_t, 256>& embed = embed_table();
+  std::uint64_t acc = plane[0];
+  for (std::size_t i = 1; i < 8; ++i) acc ^= gf64_mul(embed[std::size_t{1} << i], plane[i]);
+  return acc;
+}
+
+/// plane[i] ^= fp wherever bit i of c is set (unrolled so the planes stay
+/// in registers).
+inline void accumulate_planes(std::array<std::uint64_t, 8>& plane, std::uint8_t c,
+                              std::uint64_t fp) {
+  const auto masked = [&](int i) { return fp & (0 - static_cast<std::uint64_t>((c >> i) & 1)); };
+  plane[0] ^= masked(0);
+  plane[1] ^= masked(1);
+  plane[2] ^= masked(2);
+  plane[3] ^= masked(3);
+  plane[4] ^= masked(4);
+  plane[5] ^= masked(5);
+  plane[6] ^= masked(6);
+  plane[7] ^= masked(7);
+}
+
+/// sum_k t[k][byte k of v]: a GF(2)-linear map of v, one lookup per byte.
+inline std::uint64_t apply_sliced(const std::array<std::array<std::uint64_t, 256>, 8>& t,
+                                  std::uint64_t v) {
+  return ((t[0][v & 0xff] ^ t[1][(v >> 8) & 0xff]) ^
+          (t[2][(v >> 16) & 0xff] ^ t[3][(v >> 24) & 0xff])) ^
+         ((t[4][(v >> 32) & 0xff] ^ t[5][(v >> 40) & 0xff]) ^
+          (t[6][(v >> 48) & 0xff] ^ t[7][v >> 56]));
+}
+
+}  // namespace
+
 Fingerprinter::Fingerprinter(std::uint64_t seed) : seed_(seed) {
   std::uint64_t sm = seed;
   do {
     point_ = splitmix64_next(sm);
   } while (point_ == 0);
-  for (std::size_t k = 0; k < 8; ++k) {
-    for (std::size_t b = 0; b < 256; ++b) {
-      table_[k][b] = gf64_mul(static_cast<std::uint64_t>(b) << (8 * k), point_);
-    }
-  }
-  (void)embed_table();  // force the one-time root search off the hot path
-}
+  const std::array<std::uint64_t, 256>& embed = embed_table();
 
-std::uint64_t Fingerprinter::mul_point(std::uint64_t acc) const {
-  std::uint64_t out = 0;
+  // shift_: x^p * r^8 for bit p = 8k+i, stepping p by a multiply-by-x.
+  std::uint64_t x_pow = gf64_pow(point_, 8);
   for (std::size_t k = 0; k < 8; ++k) {
-    out ^= table_[k][(acc >> (8 * k)) & 0xff];
+    std::array<std::uint64_t, 8> bit;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bit[i] = x_pow;
+      x_pow = (x_pow << 1) ^ ((x_pow >> 63) * 0x1B);  // x^64 = x^4 + x^3 + x + 1
+    }
+    expand_linear(shift_[k], bit);
   }
-  return out;
+  // word_: embed(2^i) * r^(7-j).
+  std::uint64_t r_pow = 1;
+  for (std::size_t j = 8; j-- > 0;) {
+    std::array<std::uint64_t, 8> bit;
+    for (std::size_t i = 0; i < 8; ++i) bit[i] = gf64_mul(embed[std::size_t{1} << i], r_pow);
+    expand_linear(word_[j], bit);
+    r_pow = gf64_mul(r_pow, point_);
+  }
 }
 
 std::uint64_t Fingerprinter::fingerprint(std::span<const std::uint8_t> payload) const {
-  const std::array<std::uint64_t, 256>& embed = embed_table();
+  // Horner over 8-byte words. The leading L mod 8 bytes form a first word
+  // padded with zeros in front, which leaves the evaluation unchanged.
   std::uint64_t acc = 0;
-  for (const std::uint8_t byte : payload) {
-    acc = mul_point(acc) ^ embed[byte];
+  const auto fold = [&](std::uint64_t w) {
+    acc = apply_sliced(shift_, acc) ^ apply_sliced(word_, w);
+  };
+  const std::uint8_t* p = payload.data();
+  if (const std::size_t head = payload.size() % 8; head != 0) {
+    std::uint8_t first[8] = {};
+    std::memcpy(first + 8 - head, p, head);
+    fold(load_word(first));
+    p += head;
+  }
+  for (const std::uint8_t* const end = payload.data() + payload.size(); p != end; p += 8) {
+    fold(load_word(p));
   }
   return acc;
 }
@@ -132,12 +213,11 @@ std::uint64_t Fingerprinter::combine(std::span<const std::uint8_t> coeffs,
                                      std::span<const std::uint64_t> fingerprints) const {
   PRLC_REQUIRE(coeffs.size() == fingerprints.size(),
                "combine needs one fingerprint per coefficient");
-  std::uint64_t acc = 0;
+  std::array<std::uint64_t, 8> plane{};
   for (std::size_t j = 0; j < coeffs.size(); ++j) {
-    if (coeffs[j] == 0) continue;
-    acc ^= gf64_mul(gf64_embed(coeffs[j]), fingerprints[j]);
+    accumulate_planes(plane, coeffs[j], fingerprints[j]);
   }
-  return acc;
+  return finish_planes(plane);
 }
 
 std::uint64_t Fingerprinter::combine_sparse(
@@ -145,13 +225,12 @@ std::uint64_t Fingerprinter::combine_sparse(
     std::span<const std::uint64_t> fingerprints) const {
   PRLC_REQUIRE(indices.size() == values.size(),
                "sparse combine needs matching index/value spans");
-  std::uint64_t acc = 0;
+  std::array<std::uint64_t, 8> plane{};
   for (std::size_t k = 0; k < indices.size(); ++k) {
     PRLC_REQUIRE(indices[k] < fingerprints.size(), "sparse index outside the manifest");
-    if (values[k] == 0) continue;
-    acc ^= gf64_mul(gf64_embed(values[k]), fingerprints[indices[k]]);
+    accumulate_planes(plane, values[k], fingerprints[indices[k]]);
   }
-  return acc;
+  return finish_planes(plane);
 }
 
 FingerprintManifest build_manifest(std::uint64_t seed,

@@ -20,9 +20,14 @@
 //     serving payload inconsistent with its claimed coefficients) slips
 //     through with probability ~2^-50 even at 16 KiB blocks.
 //
-// GF(2^64) is GF(2)[x]/(x^64+x^4+x^3+x+1). The per-byte hot path is
-// byte-sliced: multiplication by the fixed point r is 8 table lookups
-// (16 KiB of tables), built once per Fingerprinter.
+// GF(2^64) is GF(2)[x]/(x^64+x^4+x^3+x+1). The hot path folds the payload
+// a 64-bit word at a time: acc = acc*r^8 + sum_j embed(b_j)*r^(7-j), so 8
+// payload bytes cost 16 table lookups (8 byte-sliced acc*r^8 tables plus
+// 8 embed(b)*r^(7-j) tables, 32 KiB per Fingerprinter) instead of 64. The
+// tables are built from their single-bit entries by XOR, so a
+// Fingerprinter costs about 75 reference multiplies to construct. combine() is
+// bit-plane accumulation: 8 masked XORs per coefficient and 8 field
+// multiplies in total, independent of the coefficient count.
 #pragma once
 
 #include <array>
@@ -33,9 +38,9 @@
 
 namespace prlc::util {
 
-/// Reference carry-less multiply-and-reduce in GF(2^64). Slow (bitwise);
-/// table construction and tests only — the fingerprint path never calls it
-/// per byte.
+/// Reference carry-less multiply-and-reduce in GF(2^64). Bitwise (64
+/// branch-free steps); table construction, combine()'s 8 final multiplies
+/// and tests only — the fingerprint path never calls it per byte.
 std::uint64_t gf64_mul(std::uint64_t a, std::uint64_t b);
 
 /// a^e in GF(2^64) by square-and-multiply.
@@ -75,13 +80,16 @@ class Fingerprinter {
                                std::span<const std::uint64_t> fingerprints) const;
 
  private:
-  /// acc * point_ via the byte-sliced tables.
-  std::uint64_t mul_point(std::uint64_t acc) const;
+  using Table = std::array<std::uint64_t, 256>;
 
   std::uint64_t seed_ = 0;
   std::uint64_t point_ = 0;
-  /// table_[k][b] = (b << 8k) * point_ in GF(2^64).
-  std::array<std::array<std::uint64_t, 256>, 8> table_{};
+  /// shift_[k][b] = (b << 8k) * point_^8: acc * r^8, one accumulator byte
+  /// per table.
+  std::array<Table, 8> shift_{};
+  /// word_[j][b] = embed(b) * point_^(7-j): payload byte j of an 8-byte
+  /// word at its Horner weight.
+  std::array<Table, 8> word_{};
 };
 
 /// The per-source-block fingerprint manifest a collection verifies

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "util/random.h"
@@ -105,6 +108,44 @@ TEST(WireFormat, DetectsTrailingGarbage) {
 TEST(WireFormat, RejectsEmptyBlock) {
   CodedBlock<F> empty;
   EXPECT_THROW(encode_wire(Scheme::kPlc, empty), PreconditionError);
+}
+
+TEST(WireFormat, EncodeEnforcesTheLimitsDecodeEnforces) {
+  // A frame encode_wire emits must decode again: the 2^24 coefficient
+  // width decode_wire_view accepts round-trips, one more is refused at
+  // encode time, and so is a level that overflows its u32 field. (The
+  // payload-size guard needs a 4 GiB payload to reach, so it is not
+  // exercised here.)
+  constexpr std::size_t kMaxWidth = std::size_t{1} << 24;
+  std::vector<std::uint8_t> coeffs(kMaxWidth + 1, 0);
+  coeffs[kMaxWidth - 1] = 0x5A;
+  const std::vector<std::uint8_t> payload = {1, 2, 3};
+  CodedBlockView view{.level = 0xFFFFFFFFu,
+                      .coeffs = std::span<const std::uint8_t>(coeffs).first(kMaxWidth),
+                      .payload = payload};
+  const auto wire = encode_wire(Scheme::kRlc, view);
+  const WireBlockView got = decode_wire_view(wire);
+  EXPECT_EQ(got.coeff_width, kMaxWidth);
+  EXPECT_EQ(got.level, 0xFFFFFFFFu);
+  ASSERT_EQ(got.sparse_count, 1u);
+  EXPECT_TRUE(std::equal(got.payload.begin(), got.payload.end(), payload.begin(),
+                         payload.end()));
+
+  view.coeffs = coeffs;
+  EXPECT_THROW(encode_wire(Scheme::kRlc, view), PreconditionError);
+  view.coeffs = std::span<const std::uint8_t>(coeffs).first(kMaxWidth);
+  view.level = std::size_t{1} << 32;
+  EXPECT_THROW(encode_wire(Scheme::kRlc, view), PreconditionError);
+}
+
+TEST(WireManifest, EncodeRefusesABlockSizeBeyondU32) {
+  util::FingerprintManifest manifest;
+  manifest.seed = 3;
+  manifest.block_size = 0xFFFFFFFFu;
+  manifest.fingerprints = {11, 22};
+  EXPECT_EQ(decode_manifest(encode_manifest(manifest)), manifest);
+  manifest.block_size = std::size_t{1} << 32;  // used to truncate to 0
+  EXPECT_THROW(encode_manifest(manifest), PreconditionError);
 }
 
 TEST(WireManifest, RoundTrip) {

@@ -495,6 +495,37 @@ TEST(IntegrityCollector, MixedSilentAndLoudFaultsNeverYieldWrongBytes) {
   EXPECT_GT(outcome.faults.integrity_violations, 0u);
 }
 
+TEST(IntegrityCollector, WrongPayloadLengthIsAWireErrorWithOrWithoutAManifest) {
+  // Frames with a valid CRC, the right scheme and the right width, but a
+  // payload shorter than the collection's block size (empty ones too):
+  // wire errors, never a throw out of collect() and never evidence that
+  // the serving node forged anything. An empty payload under all-zero
+  // coefficients would even pass the fingerprint check (fp of nothing =
+  // combine of zeros = 0), so the length check must come first.
+  for (const std::size_t served : {std::size_t{0}, std::size_t{4}}) {
+    for (const bool with_manifest : {false, true}) {
+      TestHarness h;
+      h.params.block_size = served;
+      Predistribution pd(h.overlay, h.spec, h.dist, h.params);
+      pd.disseminate(codes::SourceData<Field>::random(h.spec.total(), served, h.rng), h.rng);
+      const std::size_t block_size = 6;
+      codes::PriorityDecoder<Field> decoder(h.params.scheme, h.spec, block_size);
+      const std::vector<std::uint8_t> zeros(h.spec.total() * block_size, 0);
+      const auto manifest = util::build_manifest(9, zeros, block_size);
+      CollectorOptions options;
+      if (with_manifest) options.manifest = &manifest;
+      CollectionOutcome outcome;
+      ASSERT_NO_THROW(outcome = collect(pd, decoder, options, h.rng))
+          << "served=" << served << " manifest=" << with_manifest;
+      EXPECT_GT(outcome.faults.wire_errors, 0u);
+      EXPECT_EQ(outcome.faults.integrity_violations, 0u);
+      EXPECT_EQ(outcome.quarantined_nodes, 0u);
+      EXPECT_EQ(outcome.result.blocks_retrieved, 0u);
+      EXPECT_EQ(outcome.result.decoded_levels, 0u);
+    }
+  }
+}
+
 TEST(IntegrityCollector, ManifestMustMatchTheSpec) {
   FaultHarness h;
   util::FingerprintManifest wrong;

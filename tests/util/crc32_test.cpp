@@ -2,11 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "util/random.h"
 
 namespace prlc {
 namespace {
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition the sliced
+/// tables must reproduce.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (const std::uint8_t byte : data) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
 
 std::vector<std::uint8_t> bytes(const std::string& s) {
   return {s.begin(), s.end()};
@@ -36,6 +51,56 @@ TEST(Crc32, ChainingMatchesOneShot) {
   const auto left = bytes("first-half|");
   const auto right = bytes("second-half");
   EXPECT_EQ(crc32(right, crc32(left)), crc32(whole));
+}
+
+TEST(Crc32, SlicedMatchesReferenceAtEveryLengthOffsetAndSplit) {
+  constexpr std::size_t kBig = 65536;
+  Rng rng(0xC4C);
+  std::vector<std::uint8_t> buffer(kBig + 8 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const auto from = std::span<const std::uint8_t>(buffer).subspan(offset);
+    for (std::size_t len = 0; len <= 80; ++len) {
+      const auto data = from.first(len);
+      const std::uint32_t want = reference_crc32(data);
+      ASSERT_EQ(crc32(data), want) << "offset=" << offset << " len=" << len;
+      for (std::size_t split = 0; split <= len; ++split) {
+        ASSERT_EQ(crc32(data.subspan(split), crc32(data.first(split))), want)
+            << "offset=" << offset << " len=" << len << " split=" << split;
+      }
+    }
+    for (std::size_t len = kBig + 1; len <= kBig + 7; ++len) {
+      const auto data = from.first(len);
+      const std::uint32_t want = reference_crc32(data);
+      ASSERT_EQ(crc32(data), want) << "offset=" << offset << " len=" << len;
+      // Every split within 16 bytes of either end, plus a stride between.
+      std::vector<std::size_t> splits;
+      for (std::size_t k = 0; k <= 16; ++k) {
+        splits.push_back(k);
+        splits.push_back(len - k);
+      }
+      for (std::size_t k = 4099; k < len; k += 4099) splits.push_back(k);
+      for (const std::size_t split : splits) {
+        ASSERT_EQ(crc32(data.subspan(split), crc32(data.first(split))), want)
+            << "offset=" << offset << " len=" << len << " split=" << split;
+      }
+    }
+  }
+}
+
+TEST(Crc32, PinnedValuesOfTheBytewiseImplementation) {
+  // Captured from the byte-at-a-time table implementation over bytes
+  // i*131+7: frames and manifests it wrote must keep verifying.
+  const std::pair<std::size_t, std::uint32_t> cases[] = {
+      {0, 0x00000000u},    {1, 0x4c667a2eu},    {7, 0xff206b2eu},    {8, 0xf7921d46u},
+      {9, 0xc04294c0u},    {16, 0xea7e5b68u},   {100, 0x9f5e59efu},  {1024, 0x0824e952u},
+      {65536, 0x3a3102b4u}, {65543, 0x65052865u},
+  };
+  for (const auto& [len, want] : cases) {
+    std::vector<std::uint8_t> data(len);
+    for (std::size_t i = 0; i < len; ++i) data[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+    EXPECT_EQ(crc32(data), want) << "len=" << len;
+  }
 }
 
 TEST(Crc32, OrderMatters) {

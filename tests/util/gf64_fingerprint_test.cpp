@@ -2,11 +2,16 @@
 // axioms against the reference multiply, the GF(2^8) embedding against
 // gf::Gf256's own product table, and the coding homomorphism
 // fp(sum gamma_j s_j) = sum embed(gamma_j) fp(s_j) over random payloads,
-// random (GF(2) and GF(256)) coefficients, and unaligned sizes.
+// random (GF(2) and GF(256)) coefficients, and unaligned sizes. The
+// word-at-a-time fingerprint and the bit-plane combine are checked against
+// byte-serial references built on gf64_mul, and against values pinned from
+// the byte-serial implementation they replaced.
 #include "util/gf64_fingerprint.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "gf/gf256.h"
@@ -14,6 +19,21 @@
 
 namespace prlc::util {
 namespace {
+
+/// sum_j embed(c_j) * fp_j, one reference multiply per coefficient.
+std::uint64_t reference_combine(std::span<const std::uint8_t> coeffs,
+                                std::span<const std::uint64_t> fps) {
+  std::uint64_t acc = 0;
+  for (std::size_t j = 0; j < coeffs.size(); ++j) acc ^= gf64_mul(gf64_embed(coeffs[j]), fps[j]);
+  return acc;
+}
+
+/// The byte pattern the pinned values below were captured over.
+std::vector<std::uint8_t> pattern(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+  return v;
+}
 
 TEST(Gf64, FieldAxiomsOnRandomElements) {
   Rng rng(7);
@@ -78,6 +98,102 @@ TEST(Gf64Fingerprint, TablesMatchReferenceMultiply) {
     acc = gf64_mul(acc, fp.point()) ^ gf64_embed(byte);
   }
   EXPECT_EQ(fp.fingerprint(payload), acc);
+}
+
+TEST(Gf64Fingerprint, WordAtATimeMatchesReferenceAtEveryLengthAndOffset) {
+  // Every head length (L mod 8), every start alignment, and 64 KiB + 1..7,
+  // against byte-at-a-time Horner with the reference multiply. Lengths are
+  // prefixes of one buffer, so one reference pass per start offset yields
+  // the expected value at every length.
+  constexpr std::size_t kBig = 65536;
+  Rng rng(0xA11);
+  std::vector<std::uint8_t> buffer(kBig + 8 + 8);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (const std::uint64_t seed : {std::uint64_t{5}, std::uint64_t{0xFEED}}) {
+    const Fingerprinter fp(seed);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const auto from = std::span<const std::uint8_t>(buffer).subspan(offset);
+      std::uint64_t acc = 0;
+      for (std::size_t len = 0; len <= kBig + 7; ++len) {
+        if (len <= 80 || len > kBig) {
+          ASSERT_EQ(fp.fingerprint(from.first(len)), acc)
+              << "seed=" << seed << " offset=" << offset << " len=" << len;
+        }
+        if (len < from.size()) acc = gf64_mul(acc, fp.point()) ^ gf64_embed(from[len]);
+      }
+    }
+  }
+}
+
+TEST(Gf64Fingerprint, PinnedValuesOfTheByteSerialImplementation) {
+  // Captured from the byte-at-a-time implementation: manifests written by
+  // it must keep verifying.
+  struct Case {
+    std::uint64_t seed;
+    std::size_t len;
+    std::uint64_t fp;
+  };
+  const Case cases[] = {
+      {0, 0, 0x0000000000000000ULL},      {0, 1, 0x1750b86ed7f47d09ULL},
+      {0, 7, 0xd0b5f415125d7d9cULL},      {0, 8, 0xc273a44208f7667bULL},
+      {0, 9, 0xc7c67b3a77e643c7ULL},      {0, 100, 0x508f4b150750a1a5ULL},
+      {0, 1024, 0xf6fd63813a37e6fdULL},   {0, 65536, 0xe37ea12538fffb80ULL},
+      {0, 65543, 0x21aaa4fe38f0c4e0ULL},  {42, 7, 0x550c876896f9e725ULL},
+      {42, 16, 0x12143c514a2b4c9fULL},    {42, 1024, 0x39fb894ff860ad4eULL},
+      {42, 65543, 0x08de5db24eea6204ULL},
+  };
+  EXPECT_EQ(Fingerprinter(0).point(), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(Fingerprinter(42).point(), 0xbdd732262feb6e95ULL);
+  for (const Case& c : cases) {
+    EXPECT_EQ(Fingerprinter(c.seed).fingerprint(pattern(c.len)), c.fp)
+        << "seed=" << c.seed << " len=" << c.len;
+  }
+  // combine over 64 pinned-pattern fingerprints.
+  const Fingerprinter fp(42);
+  std::vector<std::uint64_t> fps;
+  std::vector<std::uint8_t> coeffs;
+  for (std::size_t j = 0; j < 64; ++j) {
+    fps.push_back(fp.fingerprint(pattern(j + 1)));
+    coeffs.push_back(static_cast<std::uint8_t>(j * 37u + 1u));
+  }
+  EXPECT_EQ(fp.combine(coeffs, fps), 0x5779501d858e6517ULL);
+  EXPECT_EQ(gf64_embed(2), 0xb5edb70665632ccbULL);
+  EXPECT_EQ(gf64_embed(0x80), 0x18f233b09a96275fULL);
+}
+
+TEST(Gf64Fingerprint, BitPlaneCombineMatchesReference) {
+  Rng rng(0xC0B);
+  const Fingerprinter fp(31);
+  for (const std::size_t n : {1u, 7u, 64u, 256u, 1000u}) {
+    std::vector<std::uint64_t> fps(n);
+    for (auto& f : fps) f = rng();
+    for (int mode = 0; mode < 5; ++mode) {  // dense, GF(2), sparse, all-zero, all-0xFF
+      std::vector<std::uint8_t> coeffs(n);
+      for (auto& c : coeffs) {
+        switch (mode) {
+          case 0: c = static_cast<std::uint8_t>(rng()); break;
+          case 1: c = static_cast<std::uint8_t>(rng() & 1); break;
+          case 2: c = rng.bernoulli(0.1) ? static_cast<std::uint8_t>(rng()) : 0; break;
+          case 3: c = 0; break;
+          default: c = 0xFF; break;
+        }
+      }
+      const std::uint64_t want = reference_combine(coeffs, fps);
+      ASSERT_EQ(fp.combine(coeffs, fps), want) << "n=" << n << " mode=" << mode;
+      // Sparse twin over the nonzero support, then over every index
+      // (explicit zero values must contribute nothing).
+      std::vector<std::uint32_t> support, all;
+      std::vector<std::uint8_t> values;
+      for (std::size_t j = 0; j < n; ++j) {
+        all.push_back(static_cast<std::uint32_t>(j));
+        if (coeffs[j] == 0) continue;
+        support.push_back(static_cast<std::uint32_t>(j));
+        values.push_back(coeffs[j]);
+      }
+      ASSERT_EQ(fp.combine_sparse(support, values, fps), want) << "n=" << n << " mode=" << mode;
+      ASSERT_EQ(fp.combine_sparse(all, coeffs, fps), want) << "n=" << n << " mode=" << mode;
+    }
+  }
 }
 
 TEST(Gf64Fingerprint, SeedDeterminesPointDeterministically) {
