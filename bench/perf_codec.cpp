@@ -226,6 +226,32 @@ void BM_GfKernelMulRegion(benchmark::State& state, gf::Gf256Kernel kernel) {
                           static_cast<std::int64_t>(n));
 }
 
+// Whole-block linear combination dst = sum_s c_s * src_s over k sources of
+// 64 KiB each: the shape of one stored block in dissemination and of one
+// innovative row's payload in the decoder. Bytes processed count every
+// source byte read, so MB/s compares directly with the axpy rows.
+void BM_GfKernelLincomb(benchmark::State& state, gf::Gf256Kernel kernel) {
+  const auto& ops = gf::gf256_kernel_ops(kernel);
+  const auto k = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t n = 65536;
+  Rng rng(10);
+  std::vector<std::vector<std::uint8_t>> sources(k, std::vector<std::uint8_t>(n));
+  std::vector<const std::uint8_t*> ptrs;
+  std::vector<std::uint8_t> coeffs;
+  for (auto& src : sources) {
+    for (auto& v : src) v = static_cast<std::uint8_t>(rng.uniform(256));
+    ptrs.push_back(src.data());
+    coeffs.push_back(static_cast<std::uint8_t>(1 + rng.uniform(255)));
+  }
+  std::vector<std::uint8_t> dst(n);
+  for (auto _ : state) {
+    ops.lincomb(dst.data(), ptrs.data(), coeffs.data(), k, n);
+    benchmark::DoNotOptimize(dst.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * k));
+}
+
 void BM_GfAxpyBatch(benchmark::State& state) {
   // The decoder back-elimination shape: one source row applied to many
   // target rows through the cache-tiled batch entry point.
@@ -262,6 +288,11 @@ void register_kernel_benchmarks() {
       benchmark::RegisterBenchmark(("BM_GfKernelMulRegion/" + suffix).c_str(),
                                    BM_GfKernelMulRegion, k)
           ->Arg(n);
+    }
+    for (long sources : {8L, 16L, 64L}) {
+      benchmark::RegisterBenchmark(("BM_GfKernelLincomb/" + suffix).c_str(),
+                                   BM_GfKernelLincomb, k)
+          ->Arg(sources);
     }
   }
 }

@@ -97,12 +97,7 @@ class PriorityEncoder {
     std::vector<Symbol> val;
     draw_support(begin, end, rng, idx, val);
     for (std::size_t k = 0; k < idx.size(); ++k) block.coeffs[idx[k]] = val[k];
-    if (source_ != nullptr) {
-      block.payload.assign(source_->block_size(), Symbol{0});
-      for (std::size_t k = 0; k < idx.size(); ++k) {
-        F::axpy(std::span<Symbol>(block.payload), val[k], source_->block(idx[k]));
-      }
-    }
+    if (source_ != nullptr) combine_sources(idx, val, block.payload);
     return block;
   }
 
@@ -119,13 +114,7 @@ class PriorityEncoder {
     block.level = level;
     draw_support(begin, end, rng, block.indices, block.values);
     sort_support(block.indices, block.values);
-    if (source_ != nullptr) {
-      block.payload.assign(source_->block_size(), Symbol{0});
-      for (std::size_t k = 0; k < block.indices.size(); ++k) {
-        F::axpy(std::span<Symbol>(block.payload), block.values[k],
-                source_->block(block.indices[k]));
-      }
-    }
+    if (source_ != nullptr) combine_sources(block.indices, block.values, block.payload);
     return block;
   }
 
@@ -144,6 +133,17 @@ class PriorityEncoder {
   }
 
  private:
+  /// payload = sum_k val[k] * source block idx[k], in one linear
+  /// combination over the drawn support.
+  void combine_sources(const std::vector<std::uint32_t>& idx, const std::vector<Symbol>& val,
+                       std::vector<Symbol>& payload) const {
+    std::vector<const Symbol*> blocks(idx.size());
+    for (std::size_t k = 0; k < idx.size(); ++k) blocks[k] = source_->block(idx[k]).data();
+    payload.resize(source_->block_size());
+    gf::field_lincomb<F>(std::span<Symbol>(payload), std::span<const Symbol* const>(blocks),
+                         std::span<const Symbol>(val));
+  }
+
   /// Draw one block's nonzero support as (index, value) pairs, in *draw
   /// order* (kSparse pairs come out in sample order — sort_support makes
   /// them canonical). This is the single source of randomness for both

@@ -6,6 +6,7 @@
 // on an unsigned Symbol type; addition is XOR in every GF(2^m).
 #pragma once
 
+#include <algorithm>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
@@ -46,5 +47,33 @@ concept BatchedFieldPolicy =
              std::span<const typename F::Symbol> x) {
       { F::axpy_batch(ys, coeffs, x) } -> std::same_as<void>;
     };
+
+/// Extension of FieldPolicy for fields with a whole-block linear
+/// combination (dst = sum_s coeffs[s] * srcs[s]); see field_lincomb.
+template <typename F>
+concept LincombFieldPolicy =
+    FieldPolicy<F> &&
+    requires(std::span<typename F::Symbol> dst,
+             std::span<const typename F::Symbol* const> srcs,
+             std::span<const typename F::Symbol> coeffs) {
+      { F::lincomb(dst, srcs, coeffs) } -> std::same_as<void>;
+    };
+
+/// dst = sum_s coeffs[s] * srcs[s] over any field: the field's own
+/// lincomb when it has one (Gf256's dispatched kernel), else a zero fill
+/// plus one axpy per source. Every source is dst.size() symbols long.
+template <FieldPolicy F>
+void field_lincomb(std::span<typename F::Symbol> dst,
+                   std::span<const typename F::Symbol* const> srcs,
+                   std::span<const typename F::Symbol> coeffs) {
+  if constexpr (LincombFieldPolicy<F>) {
+    F::lincomb(dst, srcs, coeffs);
+  } else {
+    std::fill(dst.begin(), dst.end(), typename F::Symbol{0});
+    for (std::size_t s = 0; s < srcs.size(); ++s) {
+      F::axpy(dst, coeffs[s], std::span<const typename F::Symbol>(srcs[s], dst.size()));
+    }
+  }
+}
 
 }  // namespace prlc::gf

@@ -74,6 +74,17 @@ void Gf256::mul_region(std::span<Symbol> dst, Symbol a, std::span<const Symbol> 
   gf256_active_ops().mul_region(dst.data(), src.data(), a, dst.size());
 }
 
+void Gf256::lincomb(std::span<Symbol> dst, std::span<const Symbol* const> srcs,
+                    std::span<const Symbol> coeffs) {
+  PRLC_REQUIRE(srcs.size() == coeffs.size(), "lincomb needs one coefficient per source");
+  if (dst.empty()) return;
+  static obs::Counter& calls = obs::counter("gf256.lincomb_calls");
+  static obs::Counter& bytes = obs::counter("gf256.lincomb_bytes");
+  calls.add();
+  bytes.add(dst.size() * srcs.size());
+  gf256_active_ops().lincomb(dst.data(), srcs.data(), coeffs.data(), srcs.size(), dst.size());
+}
+
 Gf256::Symbol Gf256::dot(std::span<const Symbol> a, std::span<const Symbol> b) {
   PRLC_REQUIRE(a.size() == b.size(), "dot spans must have equal length");
   if (a.empty()) return 0;

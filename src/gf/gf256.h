@@ -4,7 +4,7 @@
 // polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D, the classic Rijndael-
 // adjacent choice used by most RLNC implementations), plus a full
 // 256x256 product table for scalar lookups. The span operations (axpy,
-// scale, dot, mul_region) route through the vectorized kernel table in
+// scale, dot, mul_region, lincomb) route through the vectorized kernel table in
 // gf256_kernels.h, which is dispatched once at runtime to the widest
 // SIMD unit the CPU offers. Tables are built once at first use and are
 // immutable afterwards.
@@ -60,6 +60,13 @@ class Gf256 {
 
   /// dst = a * src element-wise; dst may equal src (then this is scale).
   static void mul_region(std::span<Symbol> dst, Symbol a, std::span<const Symbol> src);
+
+  /// dst = sum_s coeffs[s] * srcs[s], each source dst.size() symbols long
+  /// and none overlapping dst; no sources zeroes dst. The whole-block
+  /// combination a storage node stores or a decoder builds for a new
+  /// pivot row, in one kernel call instead of one axpy per source.
+  static void lincomb(std::span<Symbol> dst, std::span<const Symbol* const> srcs,
+                      std::span<const Symbol> coeffs);
 
   /// Dot product sum_i a[i]*b[i].
   static Symbol dot(std::span<const Symbol> a, std::span<const Symbol> b);

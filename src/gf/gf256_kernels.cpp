@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "gf/gf256.h"
 #include "obs/metrics.h"
@@ -56,6 +58,34 @@ const NibbleTables& nib() {
   return t;
 }
 
+// Affine bit-matrices for gf2p8affineqb: multiplying by a constant c is
+// linear over GF(2), so c * x == M_c x for an 8x8 bit-matrix whose column j
+// is c * 2^j. The instruction takes output bit i from the parity of
+// (matrix byte 7-i) & x, so byte 7-i holds row i: bit j of that byte is
+// bit i of c * 2^j. Built bit-by-bit from bitwise_mul like the nibble
+// tables, so poly 0x11D is baked in (vgf2p8mulb is fixed to 0x11B).
+struct AffineMatrices {
+  alignas(64) std::uint64_t m[256];
+  AffineMatrices() {
+    for (int c = 0; c < 256; ++c) {
+      std::uint64_t mat = 0;
+      for (int j = 0; j < 8; ++j) {
+        const std::uint8_t col =
+            bitwise_mul(static_cast<std::uint8_t>(c), static_cast<std::uint8_t>(1 << j));
+        for (int i = 0; i < 8; ++i) {
+          if ((col >> i) & 1) mat |= std::uint64_t{1} << (8 * (7 - i) + j);
+        }
+      }
+      m[c] = mat;
+    }
+  }
+};
+
+const AffineMatrices& affine() {
+  static const AffineMatrices t;
+  return t;
+}
+
 // ---------------------------------------------------------------------------
 // dot — shared across variants. It only runs over coefficient vectors (the
 // matrix-vector products in linalg), never payload spans, and a variable ×
@@ -98,6 +128,29 @@ void mul_region_reference(std::uint8_t* dst, const std::uint8_t* src, std::uint8
   }
   const std::uint8_t* row = Gf256::mul_row(a);
   for (std::size_t i = 0; i < n; ++i) dst[i] = row[src[i]];
+}
+
+void lincomb_reference(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                       const std::uint8_t* coeffs, std::size_t k, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint8_t acc = 0;
+    for (std::size_t s = 0; s < k; ++s) acc ^= Gf256::mul(coeffs[s], srcs[s][i]);
+    dst[i] = acc;
+  }
+}
+
+/// lincomb as one mul_region followed by one axpy per further source, so
+/// the pshufb and scalar tiers run the same instructions as per-source axpy
+/// calls (a fused AVX2 pass that kept sources in registers measured slower).
+template <auto MulRegion, auto Axpy>
+void lincomb_by_axpy(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                     const std::uint8_t* coeffs, std::size_t k, std::size_t n) {
+  if (k == 0) {
+    if (n != 0) std::memset(dst, 0, n);
+    return;
+  }
+  MulRegion(dst, srcs[0], coeffs[0], n);
+  for (std::size_t s = 1; s < k; ++s) Axpy(dst, srcs[s], coeffs[s], n);
 }
 
 // ---------------------------------------------------------------------------
@@ -268,28 +321,174 @@ __attribute__((target("avx2"))) void mul_region_avx2(std::uint8_t* dst,
   for (; i < n; ++i) dst[i] = tlo[src[i] & 15] ^ thi[src[i] >> 4];
 }
 
+// ---------------------------------------------------------------------------
+// kGfni — one vgf2p8affineqb per 64 bytes: the multiplier's bit-matrix is
+// broadcast to every qword lane and the instruction applies it to all 64
+// bytes at once. Tails run through masked loads/stores (masked-off bytes
+// are never touched, so no read past the end of a span).
+// ---------------------------------------------------------------------------
+
+#define PRLC_GFNI_TARGET __attribute__((target("avx512f,avx512bw,gfni")))
+
+PRLC_GFNI_TARGET inline __m512i gfni_mul(__m512i x, __m512i mat) {
+  return _mm512_gf2p8affine_epi64_epi8(x, mat, 0);
+}
+
+/// Byte mask of the first `len` lanes, 0 < len < 64.
+inline __mmask64 tail_mask(std::size_t len) { return (std::uint64_t{1} << len) - 1; }
+
+PRLC_GFNI_TARGET void axpy_gfni(std::uint8_t* y, const std::uint8_t* x, std::uint8_t a,
+                                std::size_t n) {
+  if (a == 0) return;
+  const __m512i mat = _mm512_set1_epi64(static_cast<long long>(affine().m[a]));
+  std::size_t i = 0;
+  for (; i + 128 <= n; i += 128) {
+    const __m512i p0 = gfni_mul(_mm512_loadu_si512(x + i), mat);
+    const __m512i p1 = gfni_mul(_mm512_loadu_si512(x + i + 64), mat);
+    _mm512_storeu_si512(y + i, _mm512_xor_si512(_mm512_loadu_si512(y + i), p0));
+    _mm512_storeu_si512(y + i + 64, _mm512_xor_si512(_mm512_loadu_si512(y + i + 64), p1));
+  }
+  for (; i + 64 <= n; i += 64) {
+    const __m512i p = gfni_mul(_mm512_loadu_si512(x + i), mat);
+    _mm512_storeu_si512(y + i, _mm512_xor_si512(_mm512_loadu_si512(y + i), p));
+  }
+  if (i < n) {
+    const __mmask64 m = tail_mask(n - i);
+    const __m512i p = gfni_mul(_mm512_maskz_loadu_epi8(m, x + i), mat);
+    _mm512_mask_storeu_epi8(y + i, m, _mm512_xor_si512(_mm512_maskz_loadu_epi8(m, y + i), p));
+  }
+}
+
+PRLC_GFNI_TARGET void mul_region_gfni(std::uint8_t* dst, const std::uint8_t* src,
+                                      std::uint8_t a, std::size_t n) {
+  if (n == 0) return;
+  if (a == 0) {
+    std::memset(dst, 0, n);
+    return;
+  }
+  const __m512i mat = _mm512_set1_epi64(static_cast<long long>(affine().m[a]));
+  std::size_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    _mm512_storeu_si512(dst + i, gfni_mul(_mm512_loadu_si512(src + i), mat));
+  }
+  if (i < n) {
+    const __mmask64 m = tail_mask(n - i);
+    _mm512_mask_storeu_epi8(dst + i, m, gfni_mul(_mm512_maskz_loadu_epi8(m, src + i), mat));
+  }
+}
+
+/// Sources per accumulation pass; each pass reads up to this many source
+/// streams and writes the destination once.
+constexpr std::size_t kGfniGroup = 8;
+/// Bytes of destination finished by every pass before the next chunk, so
+/// the partial sums of a k > kGfniGroup combination stay in L1.
+constexpr std::size_t kGfniChunk = 4096;
+
+/// dst[i] (^)= sum over g sources of mats[s] * srcs[s][i] on [0, len),
+/// starting from zero when `first`, else from the bytes already in dst.
+PRLC_GFNI_TARGET void lincomb_pass_gfni(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                                        const __m512i* mats, std::size_t g, std::size_t off,
+                                        std::size_t len, bool first) {
+  std::size_t i = off;
+  const std::size_t end = off + len;
+  for (; i + 64 <= end; i += 64) {
+    __m512i acc = first ? _mm512_setzero_si512() : _mm512_loadu_si512(dst + i);
+    for (std::size_t s = 0; s < g; ++s) {
+      acc = _mm512_xor_si512(acc, gfni_mul(_mm512_loadu_si512(srcs[s] + i), mats[s]));
+    }
+    _mm512_storeu_si512(dst + i, acc);
+  }
+  if (i < end) {
+    const __mmask64 m = tail_mask(end - i);
+    __m512i acc = first ? _mm512_setzero_si512() : _mm512_maskz_loadu_epi8(m, dst + i);
+    for (std::size_t s = 0; s < g; ++s) {
+      acc = _mm512_xor_si512(acc, gfni_mul(_mm512_maskz_loadu_epi8(m, srcs[s] + i), mats[s]));
+    }
+    _mm512_mask_storeu_epi8(dst + i, m, acc);
+  }
+}
+
+PRLC_GFNI_TARGET void lincomb_gfni(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                                   const std::uint8_t* coeffs, std::size_t k, std::size_t n) {
+  if (n == 0) return;
+  const std::uint8_t* live_srcs[kGfniGroup] = {};
+  __m512i mats[kGfniGroup] = {};
+  for (std::size_t off = 0; off < n; off += kGfniChunk) {
+    const std::size_t len = n - off < kGfniChunk ? n - off : kGfniChunk;
+    bool first = true;
+    std::size_t g = 0;
+    for (std::size_t s = 0; s < k; ++s) {
+      if (coeffs[s] == 0) continue;  // contributes nothing
+      live_srcs[g] = srcs[s];
+      mats[g] = _mm512_set1_epi64(static_cast<long long>(affine().m[coeffs[s]]));
+      if (++g == kGfniGroup) {
+        lincomb_pass_gfni(dst, live_srcs, mats, g, off, len, first);
+        first = false;
+        g = 0;
+      }
+    }
+    if (g != 0 || first) lincomb_pass_gfni(dst, live_srcs, mats, g, off, len, first);
+  }
+}
+
+#undef PRLC_GFNI_TARGET
+
 #endif  // PRLC_GF256_X86
 
 // ---------------------------------------------------------------------------
 // Variant registry + one-time dispatch.
 // ---------------------------------------------------------------------------
 
-constexpr Gf256KernelOps kReferenceOps = {"reference", axpy_reference, mul_region_reference,
-                                          dot_table};
-constexpr Gf256KernelOps kScalar64Ops = {"scalar64", axpy_scalar64, mul_region_scalar64,
-                                         dot_table};
+/// One row per Gf256Kernel value, in that order, which is also ascending
+/// preference: dispatch, names, the compiled list and the PRLC_GF_KERNEL
+/// error text are all read from here. A variant not compiled into this
+/// build keeps its name but has null function pointers.
+struct Variant {
+  Gf256KernelOps ops;
+  bool (*cpu_ok)();
+};
+
+constexpr bool always() { return true; }
+
+constexpr Variant kVariants[] = {
+    {{"reference", axpy_reference, mul_region_reference, dot_table, lincomb_reference}, always},
+    {{"scalar64", axpy_scalar64, mul_region_scalar64, dot_table,
+      lincomb_by_axpy<mul_region_scalar64, axpy_scalar64>},
+     always},
 #if PRLC_GF256_X86
-constexpr Gf256KernelOps kSsse3Ops = {"ssse3", axpy_ssse3, mul_region_ssse3, dot_table};
-constexpr Gf256KernelOps kAvx2Ops = {"avx2", axpy_avx2, mul_region_avx2, dot_table};
+    {{"ssse3", axpy_ssse3, mul_region_ssse3, dot_table,
+      lincomb_by_axpy<mul_region_ssse3, axpy_ssse3>},
+     [] { return __builtin_cpu_supports("ssse3") != 0; }},
+    {{"avx2", axpy_avx2, mul_region_avx2, dot_table, lincomb_by_axpy<mul_region_avx2, axpy_avx2>},
+     [] { return __builtin_cpu_supports("avx2") != 0; }},
+    {{"gfni", axpy_gfni, mul_region_gfni, dot_table, lincomb_gfni},
+     [] {
+       return __builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx512f") &&
+              __builtin_cpu_supports("avx512bw");
+     }},
+#else
+    {{"ssse3", nullptr, nullptr, nullptr, nullptr}, always},
+    {{"avx2", nullptr, nullptr, nullptr, nullptr}, always},
+    {{"gfni", nullptr, nullptr, nullptr, nullptr}, always},
 #endif
+};
+constexpr std::size_t kVariantCount = std::size(kVariants);
+static_assert(kVariantCount == static_cast<std::size_t>(Gf256Kernel::kGfni) + 1,
+              "kVariants needs one row per Gf256Kernel value");
+
+const Variant& variant(Gf256Kernel k) {
+  const auto i = static_cast<std::size_t>(k);
+  PRLC_REQUIRE(i < kVariantCount, "unknown GF(256) kernel variant");
+  return kVariants[i];
+}
 
 /// Best runtime-supported variant, before any env override.
 Gf256Kernel pick_auto() {
-#if PRLC_GF256_X86
-  if (__builtin_cpu_supports("avx2")) return Gf256Kernel::kAvx2;
-  if (__builtin_cpu_supports("ssse3")) return Gf256Kernel::kSsse3;
-#endif
-  return Gf256Kernel::kScalar64;
+  for (std::size_t i = kVariantCount; i-- > 0;) {
+    const auto k = static_cast<Gf256Kernel>(i);
+    if (gf256_kernel_runtime_ok(k)) return k;
+  }
+  PRLC_ASSERT(false, "no runtime-supported GF(256) kernel");
 }
 
 Gf256Kernel resolve_dispatch() {
@@ -297,20 +496,24 @@ Gf256Kernel resolve_dispatch() {
   if (want == nullptr || *want == '\0' || std::strcmp(want, "auto") == 0) {
     return pick_auto();
   }
-  for (Gf256Kernel k : {Gf256Kernel::kReference, Gf256Kernel::kScalar64, Gf256Kernel::kSsse3,
-                        Gf256Kernel::kAvx2}) {
-    if (std::strcmp(want, gf256_kernel_name(k)) != 0) continue;
-    if (gf256_kernel_runtime_ok(k)) return k;
-    std::fprintf(stderr,
-                 "prlc: PRLC_GF_KERNEL=%s is not supported on this build/CPU; "
-                 "falling back to auto dispatch\n",
-                 want);
-    return pick_auto();
+  std::string expected;
+  for (const Variant& v : kVariants) {
+    if (std::strcmp(want, v.ops.name) == 0) {
+      const auto k = static_cast<Gf256Kernel>(&v - kVariants);
+      if (gf256_kernel_runtime_ok(k)) return k;
+      std::fprintf(stderr,
+                   "prlc: PRLC_GF_KERNEL=%s is not supported on this build/CPU; "
+                   "falling back to auto dispatch\n",
+                   want);
+      return pick_auto();
+    }
+    expected += v.ops.name;
+    expected += '|';
   }
   std::fprintf(stderr,
-               "prlc: unknown PRLC_GF_KERNEL=%s (expected reference|scalar64|ssse3|avx2|"
-               "auto); falling back to auto dispatch\n",
-               want);
+               "prlc: unknown PRLC_GF_KERNEL=%s (expected %sauto); falling back to auto "
+               "dispatch\n",
+               want, expected.c_str());
   return pick_auto();
 }
 
@@ -318,45 +521,18 @@ std::atomic<int> g_active_kernel{-1};
 
 }  // namespace
 
-const char* gf256_kernel_name(Gf256Kernel k) {
-  switch (k) {
-    case Gf256Kernel::kReference:
-      return "reference";
-    case Gf256Kernel::kScalar64:
-      return "scalar64";
-    case Gf256Kernel::kSsse3:
-      return "ssse3";
-    case Gf256Kernel::kAvx2:
-      return "avx2";
-  }
-  PRLC_ASSERT(false, "unknown GF(256) kernel variant");
-}
+const char* gf256_kernel_name(Gf256Kernel k) { return variant(k).ops.name; }
 
-bool gf256_kernel_compiled(Gf256Kernel k) {
-  switch (k) {
-    case Gf256Kernel::kReference:
-    case Gf256Kernel::kScalar64:
-      return true;
-    case Gf256Kernel::kSsse3:
-    case Gf256Kernel::kAvx2:
-      return PRLC_GF256_X86 != 0;
-  }
-  PRLC_ASSERT(false, "unknown GF(256) kernel variant");
-}
+bool gf256_kernel_compiled(Gf256Kernel k) { return variant(k).ops.axpy != nullptr; }
 
 bool gf256_kernel_runtime_ok(Gf256Kernel k) {
-  if (!gf256_kernel_compiled(k)) return false;
-#if PRLC_GF256_X86
-  if (k == Gf256Kernel::kSsse3) return __builtin_cpu_supports("ssse3");
-  if (k == Gf256Kernel::kAvx2) return __builtin_cpu_supports("avx2");
-#endif
-  return true;
+  return gf256_kernel_compiled(k) && variant(k).cpu_ok();
 }
 
 std::vector<Gf256Kernel> gf256_compiled_kernels() {
   std::vector<Gf256Kernel> out;
-  for (Gf256Kernel k : {Gf256Kernel::kReference, Gf256Kernel::kScalar64, Gf256Kernel::kSsse3,
-                        Gf256Kernel::kAvx2}) {
+  for (std::size_t i = 0; i < kVariantCount; ++i) {
+    const auto k = static_cast<Gf256Kernel>(i);
     if (gf256_kernel_compiled(k)) out.push_back(k);
   }
   return out;
@@ -364,23 +540,7 @@ std::vector<Gf256Kernel> gf256_compiled_kernels() {
 
 const Gf256KernelOps& gf256_kernel_ops(Gf256Kernel k) {
   PRLC_REQUIRE(gf256_kernel_compiled(k), "GF(256) kernel variant not compiled in");
-  switch (k) {
-    case Gf256Kernel::kReference:
-      return kReferenceOps;
-    case Gf256Kernel::kScalar64:
-      return kScalar64Ops;
-#if PRLC_GF256_X86
-    case Gf256Kernel::kSsse3:
-      return kSsse3Ops;
-    case Gf256Kernel::kAvx2:
-      return kAvx2Ops;
-#else
-    case Gf256Kernel::kSsse3:
-    case Gf256Kernel::kAvx2:
-      break;
-#endif
-  }
-  PRLC_ASSERT(false, "unknown GF(256) kernel variant");
+  return variant(k).ops;
 }
 
 namespace {

@@ -2,9 +2,11 @@
 //
 // Every hot path of the library — encoding, progressive decoding, batch
 // RREF — reduces to a handful of span operations over GF(2^8): axpy
-// (y ^= a*x), mul_region (dst = a*src), scale (x *= a) and dot. This
-// module provides several implementations of those kernels and picks the
-// fastest one the running CPU supports, once, at first use:
+// (y ^= a*x), mul_region (dst = a*src), scale (x *= a), dot and lincomb
+// (dst = sum of a_s*src_s, the whole-block combination a storage node or
+// a decoder builds). This module provides several implementations of
+// those kernels and picks the fastest one the running CPU supports, once,
+// at first use:
 //
 //   kReference — byte-at-a-time lookups in the 64 KiB product table; the
 //                seed implementation, kept as the correctness baseline.
@@ -18,12 +20,23 @@
 //                lookups per instruction (32 bytes of state, 16 B/iter).
 //   kAvx2      — same split-nibble trick on 32-byte vectors, unrolled to
 //                64 bytes per iteration.
+//   kGfni      — GFNI + AVX-512BW: multiplying by a constant is an 8x8
+//                bit-matrix over GF(2), so one vgf2p8affineqb with the
+//                multiplier's matrix (built for poly 0x11D) handles 64
+//                bytes; tails use masked loads and stores.
+//
+// lincomb is where the tiers differ in shape, not just width: the
+// reference tier sums per byte, scalar64/ssse3/avx2 run one mul_region
+// plus one axpy per further source (the same instruction sequence as
+// per-source axpy calls), and kGfni folds up to eight sources per pass
+// into one zmm accumulator, so the destination is written once per pass
+// instead of once per source.
 //
 // SIMD variants are compiled behind __x86_64__/__i386__ guards using GCC/
 // Clang `target` attributes (no special -m flags needed) and selected at
 // runtime via __builtin_cpu_supports, so one binary runs everywhere and
 // still uses the widest unit available. Set PRLC_GF_KERNEL=reference|
-// scalar64|ssse3|avx2|auto (read once, at first dispatch) to force a
+// scalar64|ssse3|avx2|gfni|auto (read once, at first dispatch) to force a
 // variant when debugging; an unsupported request falls back to auto with
 // a one-time warning on stderr.
 #pragma once
@@ -40,6 +53,7 @@ enum class Gf256Kernel {
   kScalar64,       ///< portable split-nibble, 8 bytes per iteration
   kSsse3,          ///< pshufb split-nibble, 16 bytes per iteration
   kAvx2,           ///< vpshufb split-nibble, 64 bytes per iteration
+  kGfni,           ///< vgf2p8affineqb bit-matrix multiply, 64 bytes per instruction
 };
 
 /// Function-pointer table for one kernel variant. All pointers are always
@@ -55,6 +69,10 @@ struct Gf256KernelOps {
                      std::size_t n);
   /// sum_i a[i] * b[i].
   std::uint8_t (*dot)(const std::uint8_t* a, const std::uint8_t* b, std::size_t n);
+  /// dst[i] = sum_s coeffs[s] * srcs[s][i] for i in [0, n), s in [0, k).
+  /// k == 0 zeroes dst. dst must not overlap any source; sources may repeat.
+  void (*lincomb)(std::uint8_t* dst, const std::uint8_t* const* srcs,
+                  const std::uint8_t* coeffs, std::size_t k, std::size_t n);
 };
 
 /// Human-readable variant name ("reference", "scalar64", ...).

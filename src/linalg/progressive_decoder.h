@@ -37,6 +37,13 @@
 // recovered payload bytes) are identical to the legacy dense decoder —
 // the differential fuzz suite in tests/linalg asserts this byte for byte.
 //
+// Payloads follow the coefficients. Forward elimination works on the
+// coefficients alone and only records which stored rows (and factors) the
+// equation was reduced by; a redundant equation therefore moves no payload
+// byte. An innovative equation's payload is built once, as one linear
+// combination (Gf256::lincomb) of the incoming payload and the recorded
+// rows, with the pivot normalization folded into the factors.
+//
 // Complexity: an equation that peels costs O(nnz); an innovative sparse
 // row costs O(fill-in); only densified rows pay O(window) SIMD work.
 // Priority codes keep windows small for high-priority rows (support is
@@ -269,12 +276,39 @@ class ProgressiveDecoder {
     }
   }
 
-  /// work_payload_ -= factor * source payload.
+  /// Record that the work row's payload picks up factor * source payload.
+  /// Forward elimination is coefficient-first: no payload byte moves until
+  /// the row proves innovative (see build_payload), so a redundant row
+  /// costs no payload work at all.
   void payload_axpy(Symbol factor, const Row& source) {
     if (payload_size_ > 0) {
-      F::axpy(std::span<Symbol>(work_payload_), factor,
-              std::span<const Symbol>(source.payload));
+      lc_srcs_.push_back(source.payload.data());
+      lc_coeffs_.push_back(factor);
     }
+  }
+
+  /// Start the payload record with the incoming payload itself.
+  void begin_payload(std::span<const Symbol> payload) {
+    lc_srcs_.clear();
+    lc_coeffs_.clear();
+    if (payload_size_ > 0) {
+      lc_srcs_.push_back(payload.data());
+      lc_coeffs_.push_back(Symbol{1});
+    }
+  }
+
+  /// The innovative row's payload in one linear combination, with the
+  /// pivot normalization folded into the factors:
+  /// piv_inv * incoming + sum_j (piv_inv * f_j) * row_j.
+  void build_payload(Row& row, Symbol piv_inv) {
+    if (payload_size_ == 0) return;
+    if (piv_inv != 1) {
+      for (Symbol& c : lc_coeffs_) c = F::mul(piv_inv, c);
+    }
+    row.payload.resize(payload_size_);
+    gf::field_lincomb<F>(std::span<Symbol>(row.payload),
+                         std::span<const Symbol* const>(lc_srcs_),
+                         std::span<const Symbol>(lc_coeffs_));
   }
 
   /// Dense-scan forward elimination: the legacy path for rows that are
@@ -290,7 +324,7 @@ class ProgressiveDecoder {
     obs::ScopedTimer timer(add_ns);
 
     std::copy(coeffs.begin(), coeffs.end(), work_coef_.begin());
-    work_payload_.assign(payload.begin(), payload.end());
+    begin_payload(payload);
     std::size_t end = unknowns_;
     while (end > 0 && work_coef_[end - 1] == 0) --end;
 
@@ -328,8 +362,8 @@ class ProgressiveDecoder {
       return false;
     }
     while (end > pivot && work_coef_[end - 1] == 0) --end;
-    normalize_work(pivot, end, input);
-    store_and_back_eliminate(pivot, end, input, /*from_sparse=*/false);
+    const Symbol piv_inv = normalize_work(pivot, end, input);
+    store_and_back_eliminate(pivot, end, input, piv_inv, /*from_sparse=*/false);
     // store_and_back_eliminate consumed and re-zeroed the scratch window.
     rows_innovative.add();
     return true;
@@ -349,7 +383,7 @@ class ProgressiveDecoder {
     rows_received.add();
     obs::ScopedTimer timer(add_ns);
 
-    work_payload_.assign(payload.begin(), payload.end());
+    begin_payload(payload);
     heap_.clear();
     touched_.clear();
     for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -395,8 +429,8 @@ class ProgressiveDecoder {
     for (const std::uint32_t j : touched_) {
       if (work_coef_[j] != 0 && j + 1 > end) end = j + 1;
     }
-    normalize_work_touched(pivot, input);
-    store_and_back_eliminate(pivot, end, input, /*from_sparse=*/true);
+    const Symbol piv_inv = normalize_work_touched(pivot, input);
+    store_and_back_eliminate(pivot, end, input, piv_inv, /*from_sparse=*/true);
     rows_innovative.add();
     return true;
   }
@@ -452,37 +486,40 @@ class ProgressiveDecoder {
     return col;
   }
 
-  /// Normalize the work row (dense-scan variant) so the pivot is 1.
-  void normalize_work(std::size_t pivot, std::size_t end, std::uint32_t input) {
+  /// Normalize the work row's coefficients (dense-scan variant) so the
+  /// pivot is 1; returns the scale applied, which build_payload folds into
+  /// the payload combination.
+  Symbol normalize_work(std::size_t pivot, std::size_t end, std::uint32_t input) {
     const Symbol piv = work_coef_[pivot];
-    if (piv == 1) return;
+    if (piv == 1) return piv;
     const Symbol piv_inv = F::inv(piv);
     F::scale(std::span<Symbol>(work_coef_).subspan(pivot, end - pivot), piv_inv);
-    if (payload_size_ > 0) F::scale(std::span<Symbol>(work_payload_), piv_inv);
     if (recorder_ != nullptr) {
       pending_ops_.push_back({Schedule::OpKind::kScale, piv_inv, input, input});
     }
+    return piv_inv;
   }
 
   /// Normalize the work row (sparse variant): only touched columns.
-  void normalize_work_touched(std::size_t pivot, std::uint32_t input) {
+  Symbol normalize_work_touched(std::size_t pivot, std::uint32_t input) {
     const Symbol piv = work_coef_[pivot];
-    if (piv == 1) return;
+    if (piv == 1) return piv;
     const Symbol piv_inv = F::inv(piv);
     for (const std::uint32_t j : touched_) {
       if (work_coef_[j] != 0) work_coef_[j] = F::mul(piv_inv, work_coef_[j]);
     }
-    if (payload_size_ > 0) F::scale(std::span<Symbol>(work_payload_), piv_inv);
     if (recorder_ != nullptr) {
       pending_ops_.push_back({Schedule::OpKind::kScale, piv_inv, input, input});
     }
+    return piv_inv;
   }
 
   /// Build the stored row from the work buffers (consuming and re-zeroing
-  /// them), commit recorder state, back-eliminate every stored row that
-  /// intersects the new pivot column, and register the new row.
+  /// them) and the recorded payload combination, commit recorder state,
+  /// back-eliminate every stored row that intersects the new pivot column,
+  /// and register the new row.
   void store_and_back_eliminate(std::size_t pivot, std::size_t end, std::uint32_t input,
-                                bool from_sparse) {
+                                Symbol piv_inv, bool from_sparse) {
     auto row = std::make_unique<Row>();
     row->pivot = pivot;
     row->end = end;
@@ -527,8 +564,7 @@ class ProgressiveDecoder {
       for (const std::uint32_t j : touched_) work_coef_[j] = 0;
       touched_.clear();
     }
-    row->payload = std::move(work_payload_);
-    work_payload_.clear();
+    build_payload(*row, piv_inv);
     PRLC_ASSERT(row->end > row->pivot, "stored row has an empty support window");
     PRLC_DASSERT(row_coefficient_of(*row, row->end - 1) != 0,
                  "stored row support bound is not tight");
@@ -825,7 +861,11 @@ class ProgressiveDecoder {
   std::size_t densifications_ = 0;
   /// Full-width scratch row, all-zero between add() calls.
   std::vector<Symbol> work_coef_;
-  std::vector<Symbol> work_payload_;
+  /// The current equation's payload as a pending linear combination:
+  /// the incoming payload, then one (stored row payload, factor) pair per
+  /// forward elimination. Applied only if the equation is innovative.
+  std::vector<const Symbol*> lc_srcs_;
+  std::vector<Symbol> lc_coeffs_;
   // Sparse-path scratch: pending-column min-heap + membership flags, the
   // list of columns ever touched, and gathered input indices/values.
   std::vector<std::uint32_t> heap_;

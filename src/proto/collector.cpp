@@ -60,8 +60,13 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   const Predistribution& dist = channel.dist();
   PRLC_REQUIRE(decoder.scheme() == dist.params().scheme,
                "decoder scheme must match the predistribution");
-  PRLC_REQUIRE(decoder.spec() == dist.spec(), "decoder spec must match the predistribution");
-  validate_options(options, dist.spec());
+  // Only the source block count must agree: a frame whose level or support
+  // does not fit the decoder's level partition is rejected per frame as a
+  // wire error (see deliver), so an archive written under another spec
+  // degrades the collection instead of aborting it.
+  PRLC_REQUIRE(decoder.spec().total() == dist.spec().total(),
+               "decoder and predistribution must agree on the source block count");
+  validate_options(options, decoder.spec());
   const RetryPolicy& policy = options.retry;
 
   static obs::Counter& retries_ctr = obs::counter("collector.retries");
@@ -125,6 +130,18 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   /// reply buffer — no per-fetch payload copy; only sparse coefficient
   /// frames expand into a scratch vector reused across fetches.
   std::vector<std::uint8_t> coeff_scratch;
+  /// An SLC frame must name one of the decoder's levels and carry
+  /// coefficients only inside it; PriorityDecoder::add would otherwise
+  /// throw. Checked before fingerprinting, like the other shape checks: a
+  /// combination of genuine sources verifies, yet is still malformed here.
+  const auto fits_decoder_level = [&](std::size_t level, std::span<const std::uint8_t> coeffs) {
+    if (decoder.scheme() != codes::Scheme::kSlc) return true;
+    const codes::PrioritySpec& spec = decoder.spec();
+    if (level >= spec.levels()) return false;
+    const auto nonzero = [](std::uint8_t c) { return c != 0; };
+    return std::none_of(coeffs.begin(), coeffs.begin() + spec.level_begin(level), nonzero) &&
+           std::none_of(coeffs.begin() + spec.level_end(level), coeffs.end(), nonzero);
+  };
   const auto deliver = [&](net::LocationId loc, const FetchReply& reply) {
     try {
       const codes::WireBlockView view = codes::decode_wire_view(reply.bytes);
@@ -139,6 +156,9 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
         coeff_scratch.resize(view.coeff_width);
         view.expand_coeffs(coeff_scratch);
         coeffs = coeff_scratch;
+      }
+      if (!fits_decoder_level(view.level, coeffs)) {
+        throw codes::WireFormatError("SLC frame does not fit the decoder's levels");
       }
       if (fingerprinter.has_value() &&
           fingerprinter->fingerprint(view.payload) !=

@@ -126,7 +126,11 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
 
   // Per-location accumulation (step 4). For each location, decide which
   // source blocks of its support arrive (all of them, or the sparse
-  // O(ln .) selection), then route each arrival and fold it in.
+  // O(ln .) selection), then route each arrival and record its (beta,
+  // source) pair; the location's payload is then built in one linear
+  // combination over every arrival.
+  std::vector<const Field::Symbol*> arrived;
+  std::vector<Field::Symbol> betas;
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     if (!host[loc].has_value()) continue;  // dropped by capacity overflow
     const std::size_t level = location_level_[loc];
@@ -151,7 +155,8 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
     StoredBlock entry;
     entry.block.level = level;
     entry.block.coeffs.assign(spec_.total(), 0);
-    entry.block.payload.assign(params_.block_size, 0);
+    arrived.clear();
+    betas.clear();
 
     bool placed = false;
     for (std::size_t j : selected) {
@@ -171,9 +176,14 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
       // delivery; the paper's footnote-1 field-size assumption).
       const auto beta = static_cast<Field::Symbol>(1 + rng.uniform(Field::order() - 1));
       entry.block.coeffs[j] = Field::add(entry.block.coeffs[j], beta);
-      Field::axpy(std::span<Field::Symbol>(entry.block.payload), beta, source.block(j));
+      arrived.push_back(source.block(j).data());
+      betas.push_back(beta);
       ++entry.arrivals;
     }
+    entry.block.payload.resize(params_.block_size);
+    Field::lincomb(std::span<Field::Symbol>(entry.block.payload),
+                   std::span<const Field::Symbol* const>(arrived),
+                   std::span<const Field::Symbol>(betas));
     if (placed) {
       if (obs::trace_enabled()) {
         obs::TraceRecorder::global().instant(

@@ -60,21 +60,26 @@ RefreshResult refresh(Predistribution& dist, net::NodeId maintainer, Rng& rng) {
     codes::CodedBlock<Field> block;
     block.level = level;
     block.coeffs.assign(spec.total(), 0);
-    block.payload.assign(dist.params().block_size, 0);
-    bool any = false;
+    std::vector<const Field::Symbol*> sources;
+    std::vector<Field::Symbol> betas;
     for (std::size_t j = begin; j < end; ++j) {
       const auto beta = static_cast<Field::Symbol>(rng.uniform(Field::order()));
       if (beta == 0) continue;
-      any = true;
       block.coeffs[j] = beta;
-      Field::axpy(std::span<Field::Symbol>(block.payload), beta, decoder.recovered(j));
+      sources.push_back(decoder.recovered(j).data());
+      betas.push_back(beta);
     }
-    if (!any) {
+    if (betas.empty()) {
       // All-zero draw (possible only for width-1 supports): force one.
       const auto beta = static_cast<Field::Symbol>(1 + rng.uniform(Field::order() - 1));
       block.coeffs[begin] = beta;
-      Field::axpy(std::span<Field::Symbol>(block.payload), beta, decoder.recovered(begin));
+      sources.push_back(decoder.recovered(begin).data());
+      betas.push_back(beta);
     }
+    block.payload.resize(dist.params().block_size);
+    Field::lincomb(std::span<Field::Symbol>(block.payload),
+                   std::span<const Field::Symbol* const>(sources),
+                   std::span<const Field::Symbol>(betas));
 
     // Ship it from the maintainer to the location's current owner.
     const auto route = overlay.route(maintainer, loc);

@@ -80,7 +80,8 @@ void TimelineStore::fill_location(net::LocationId loc, const codes::SourceData<F
   StoredBlock entry;
   entry.block.level = level;
   entry.block.coeffs.assign(spec_.total(), 0);
-  entry.block.payload.assign(params_.block_size, 0);
+  std::vector<const Field::Symbol*> arrived;
+  std::vector<Field::Symbol> betas;
   bool placed = false;
   for (std::size_t j = begin; j < end; ++j) {
     // Each arriving source block is routed from its measuring node.
@@ -95,9 +96,15 @@ void TimelineStore::fill_location(net::LocationId loc, const codes::SourceData<F
     }
     const auto beta = static_cast<Field::Symbol>(1 + rng.uniform(Field::order() - 1));
     entry.block.coeffs[j] = beta;
-    Field::axpy(std::span<Field::Symbol>(entry.block.payload), beta, source.block(j));
+    arrived.push_back(source.block(j).data());
+    betas.push_back(beta);
     ++entry.arrivals;
   }
+  // One pass over the payload, combining every source that arrived.
+  entry.block.payload.resize(params_.block_size);
+  Field::lincomb(std::span<Field::Symbol>(entry.block.payload),
+                 std::span<const Field::Symbol* const>(arrived),
+                 std::span<const Field::Symbol>(betas));
   if (placed) slot.stored = std::move(entry);
 }
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "gf/gf2m.h"
 #include "gf/gf256.h"
 #include "linalg/gauss_jordan.h"
 #include "linalg/matrix.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace prlc::linalg {
@@ -326,6 +330,114 @@ TEST(ProgressiveDecoder, WorksOverGf16) {
   }
   EXPECT_EQ(d.rank(), n);
   EXPECT_EQ(d.decoded_prefix(), n);
+}
+
+TEST(ProgressiveDecoder, PayloadRecoversSolutionOverGf16) {
+  // Gf16 has no lincomb of its own, so innovative rows build their payload
+  // through the generic zero-fill-plus-axpy fallback.
+  using F16 = gf::Gf16;
+  Rng rng(78);
+  const std::size_t n = 9;
+  const std::size_t payload = 7;
+  std::vector<std::vector<std::uint16_t>> x(n, std::vector<std::uint16_t>(payload));
+  for (auto& blk : x) {
+    for (auto& v : blk) v = static_cast<std::uint16_t>(rng.uniform(F16::order()));
+  }
+  ProgressiveDecoder<F16> d(n, payload);
+  for (std::size_t added = 0; d.rank() < n && added < 200; ++added) {
+    std::vector<std::uint16_t> row(n);
+    for (auto& v : row) v = static_cast<std::uint16_t>(rng.uniform(F16::order()));
+    std::vector<std::uint16_t> rhs(payload, 0);
+    for (std::size_t j = 0; j < n; ++j) F16::axpy(std::span<std::uint16_t>(rhs), row[j], x[j]);
+    d.add(row, rhs);
+  }
+  ASSERT_EQ(d.decoded_prefix(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto got = d.solution(i);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), x[i].begin(), x[i].end())) << i;
+  }
+}
+
+/// Current value of every gf256.*_bytes metric.
+std::map<std::string, double> gf256_byte_counters() {
+  std::map<std::string, double> out;
+  const obs::Registry& registry = obs::Registry::global();
+  for (const std::string& name : registry.names()) {
+    if (name.rfind("gf256.", 0) == 0 && name.size() > 6 &&
+        name.compare(name.size() - 6, 6, "_bytes") == 0) {
+      out[name] = registry.current_value(name).value_or(0);
+    }
+  }
+  return out;
+}
+
+TEST(ProgressiveDecoder, RedundantRowTouchesNoPayloadByte) {
+  // Forward elimination is coefficient-first: a row that turns out to be
+  // redundant runs no GF(256) payload kernel and leaves every stored
+  // payload as it was.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  Rng rng(79);
+  const std::size_t n = 64;
+  const std::size_t payload = 4096;
+  std::vector<std::vector<std::uint8_t>> x(n, std::vector<std::uint8_t>(payload));
+  for (auto& blk : x) {
+    for (auto& v : blk) v = static_cast<std::uint8_t>(rng.uniform(256));
+  }
+  const auto equation = [&](const std::vector<std::uint8_t>& coeffs) {
+    std::vector<std::uint8_t> rhs(payload, 0);
+    for (std::size_t j = 0; j < n; ++j) F::axpy(std::span<std::uint8_t>(rhs), coeffs[j], x[j]);
+    return rhs;
+  };
+  ProgressiveDecoder<F> d(n, payload);
+
+  // Partial rank over sparse rows {k, k+40}: eliminating against them is
+  // scalar coefficient work only, so the byte counters must not move at
+  // all. The redundant row is row0 + 0x35 * row1.
+  std::vector<std::vector<std::uint8_t>> rows;
+  for (std::size_t k = 0; k < 4; ++k) {
+    std::vector<std::uint8_t> row(n, 0);
+    row[k] = static_cast<std::uint8_t>(1 + rng.uniform(255));
+    row[k + 40] = static_cast<std::uint8_t>(1 + rng.uniform(255));
+    ASSERT_TRUE(d.add(row, equation(row)));
+    rows.push_back(std::move(row));
+  }
+  auto dependent = rows[0];
+  for (std::size_t j = 0; j < n; ++j) dependent[j] ^= F::mul(0x35, rows[1][j]);
+  const auto dependent_rhs = equation(dependent);
+  const auto before_partial = gf256_byte_counters();
+  EXPECT_FALSE(d.add(dependent, dependent_rhs));
+  EXPECT_EQ(gf256_byte_counters(), before_partial);
+  // Complete the system: every solution is exact, so no stored payload
+  // was disturbed by the redundant row.
+  while (d.rank() < n) {
+    const auto row = random_row(n, rng);
+    d.add(row, equation(row));
+  }
+  std::vector<std::vector<std::uint8_t>> stored;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto got = d.solution(i);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), x[i].begin(), x[i].end())) << i;
+    stored.emplace_back(got.begin(), got.end());
+  }
+
+  // Full rank: stored rows are decoded singletons, whose one-byte
+  // coefficient windows still go through Gf256::axpy, so the counters may
+  // grow by coefficient bytes, but by less than one payload.
+  const auto dense = random_row(n, rng);
+  const auto dense_rhs = equation(dense);
+  const auto before_full = gf256_byte_counters();
+  EXPECT_FALSE(d.add(dense, dense_rhs));
+  const auto after_full = gf256_byte_counters();
+  for (const auto& [name, value] : after_full) {
+    const double was = before_full.count(name) != 0 ? before_full.at(name) : 0;
+    EXPECT_LT(value - was, static_cast<double>(payload)) << name;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto s = d.solution(i);
+    EXPECT_TRUE(std::equal(s.begin(), s.end(), stored[i].begin(), stored[i].end())) << i;
+  }
+  obs::set_enabled(was_enabled);
 }
 
 }  // namespace

@@ -526,6 +526,41 @@ TEST(IntegrityCollector, WrongPayloadLengthIsAWireErrorWithOrWithoutAManifest) {
   }
 }
 
+TEST(IntegrityCollector, SlcFramesOutsideTheDecodersLevelsAreWireErrors) {
+  // An SLC archive written under level sizes {4,4,4}, collected by an SLC
+  // decoder with spec {6,6} over the same 12 sources. Level-0 frames fit;
+  // level-1 frames (support 4..7) straddle the decoder's level boundary;
+  // level-2 frames name a level the decoder does not have. All are
+  // CRC-valid combinations of genuine sources, so they would pass the
+  // fingerprint check; the collector must reject the misfits as wire
+  // errors instead of letting PriorityDecoder::add throw.
+  TestHarness h(Scheme::kSlc);
+  h.spec = PrioritySpec(std::vector<std::size_t>{4, 4, 4});
+  h.dist = PriorityDistribution(std::vector<double>{0.3, 0.3, 0.4});
+  Predistribution pd(h.overlay, h.spec, h.dist, h.params);
+  const auto source = codes::SourceData<Field>::random(h.spec.total(), 6, h.rng);
+  pd.disseminate(source, h.rng);
+  std::vector<std::uint8_t> flat;
+  for (std::size_t j = 0; j < h.spec.total(); ++j) {
+    const auto row = source.block(j);
+    flat.insert(flat.end(), row.begin(), row.end());
+  }
+  const auto manifest = util::build_manifest(77, flat, h.params.block_size);
+  const PrioritySpec decoder_spec(std::vector<std::size_t>{6, 6});
+  codes::PriorityDecoder<Field> decoder(Scheme::kSlc, decoder_spec, h.params.block_size);
+  CollectorOptions options;
+  options.manifest = &manifest;
+  CollectionOutcome outcome;
+  ASSERT_NO_THROW(outcome = collect(pd, decoder, options, h.rng));
+  EXPECT_GT(outcome.faults.wire_errors, 0u);
+  EXPECT_EQ(outcome.faults.integrity_violations, 0u);
+  EXPECT_EQ(outcome.quarantined_nodes, 0u);
+  // Only level-0 frames were fed, and they span 4 of level 0's 6 sources.
+  EXPECT_GT(outcome.result.blocks_retrieved, 0u);
+  EXPECT_LE(decoder.rank(), 4u);
+  EXPECT_EQ(outcome.result.decoded_levels, 0u);
+}
+
 TEST(IntegrityCollector, ManifestMustMatchTheSpec) {
   FaultHarness h;
   util::FingerprintManifest wrong;
