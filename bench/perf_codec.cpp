@@ -28,6 +28,7 @@
 #include "obs/timeseries.h"
 #include "runtime/thread_pool.h"
 #include "util/check.h"
+#include "util/clmul.h"
 #include "util/crc32.h"
 #include "util/gf64_fingerprint.h"
 #include "util/random.h"
@@ -398,6 +399,41 @@ void BM_FingerprintCombine(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintCombine)->Arg(64)->Arg(256);
 
+// Per-path rows (BM_Crc32/<path>/<bytes>, BM_Fingerprint/<path>/<bytes>):
+// the portable tables on every host, the carry-less path where the CPU
+// has it; the rows above time whichever path crc32() dispatched to.
+void BM_Crc32Path(benchmark::State& state, std::uint32_t (*crc)(std::span<const std::uint8_t>,
+                                                                std::uint32_t)) {
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 11);
+  for (auto _ : state) benchmark::DoNotOptimize(crc(data, 0));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+
+void BM_FingerprintPath(benchmark::State& state,
+                        std::uint64_t (*path)(const util::Fingerprinter&,
+                                              std::span<const std::uint8_t>)) {
+  const auto data = random_bytes(static_cast<std::size_t>(state.range(0)), 12);
+  const util::Fingerprinter fp(12);
+  for (auto _ : state) benchmark::DoNotOptimize(path(fp, data));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+
+void register_integrity_benchmarks() {
+  const auto add = [](const char* path, auto crc, auto fingerprint) {
+    benchmark::RegisterBenchmark((std::string("BM_Crc32/") + path).c_str(), BM_Crc32Path, crc)
+        ->Arg(1 << 10)
+        ->Arg(64 << 10);
+    benchmark::RegisterBenchmark((std::string("BM_Fingerprint/") + path).c_str(),
+                                 BM_FingerprintPath, fingerprint)
+        ->Arg(1 << 10)
+        ->Arg(64 << 10);
+  };
+  add("portable", util::detail::crc32_portable, util::detail::fingerprint_portable);
+  if (util::clmul_supported()) {
+    add("clmul", util::detail::crc32_clmul, util::detail::fingerprint_clmul);
+  }
+}
+
 // --- telemetry probe overhead ----------------------------------------------
 //
 // The disabled-path contract (obs/events.h): a metrics counter add, an
@@ -499,11 +535,14 @@ int main(int argc, char** argv) {
                 gf::gf256_kernel_runtime_ok(k) ? "" : "[no-cpu]");
   }
   std::printf(")\n");
+  std::printf("integrity path: %s\n", util::integrity_path());
   register_kernel_benchmarks();
+  register_integrity_benchmarks();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   bench::BenchReport report("perf_codec");
   report.set_config("dispatch", json::Value(gf::gf256_active_ops().name));
+  report.set_config("integrity_path", json::Value(util::integrity_path()));
   report.set_config("gf_tile_bytes",
                     json::Value(static_cast<std::int64_t>(gf::gf256_tile_bytes())));
   // The payload sweep goes first so its series lands at series[0] of the

@@ -20,13 +20,25 @@
 //     serving payload inconsistent with its claimed coefficients) slips
 //     through with probability ~2^-50 even at 16 KiB blocks.
 //
-// GF(2^64) is GF(2)[x]/(x^64+x^4+x^3+x+1). The hot path folds the payload
-// a 64-bit word at a time: acc = acc*r^8 + sum_j embed(b_j)*r^(7-j), so 8
-// payload bytes cost 16 table lookups (8 byte-sliced acc*r^8 tables plus
-// 8 embed(b)*r^(7-j) tables, 32 KiB per Fingerprinter) instead of 64. The
-// tables are built from their single-bit entries by XOR, so a
-// Fingerprinter costs about 75 reference multiplies to construct. combine() is
-// bit-plane accumulation: 8 masked XORs per coefficient and 8 field
+// GF(2^64) is GF(2)[x]/(x^64+x^4+x^3+x+1). The payload is read a 64-bit
+// word at a time; word_ maps word w (bytes b_0..b_7) to its Horner term
+// M(w) = sum_j embed(b_j)*r^(7-j) with 8 table lookups. Two Horner
+// schedules with identical results, picked once per process (util/clmul.h):
+//
+//   * portable — acc = acc*r^8 + M(w) per word, the multiply by r^8 being
+//     8 more byte-sliced lookups (shift_): 16 lookups per 8 bytes, 32 KiB
+//     of tables per Fingerprinter.
+//   * clmul — groups of 8 words (64 bytes):
+//       acc = reduce(acc*r^64 + sum_{j<7} M(w_j)*r^(8(7-j))) + M(w_7),
+//     eight PCLMULQDQ products XORed unreduced into 128 bits and one
+//     two-fold reduction by x^64 = x^4+x^3+x+1 per group, so the serial
+//     dependency is one multiply and one reduction per 64 bytes. The
+//     zero-padded head word and the first (L/8) mod 8 whole words take
+//     single steps, acc = reduce(acc*r^8) + M(w).
+//
+// The tables are built from their single-bit entries by XOR, so a
+// Fingerprinter costs about 80 field multiplies to construct. combine() is
+// bit-plane accumulation: 8 masked XORs per coefficient and 7 field
 // multiplies in total, independent of the coefficient count.
 #pragma once
 
@@ -38,9 +50,10 @@
 
 namespace prlc::util {
 
-/// Reference carry-less multiply-and-reduce in GF(2^64). Bitwise (64
-/// branch-free steps); table construction, combine()'s 8 final multiplies
-/// and tests only — the fingerprint path never calls it per byte.
+/// Multiply in GF(2^64): one PCLMULQDQ plus the two-fold reduction on the
+/// clmul path, 64 branch-free shift-and-XOR steps on the portable one.
+/// Table construction, combine()'s 7 final multiplies and tests only — the
+/// fingerprint path never calls it per byte.
 std::uint64_t gf64_mul(std::uint64_t a, std::uint64_t b);
 
 /// a^e in GF(2^64) by square-and-multiply.
@@ -51,6 +64,21 @@ std::uint64_t gf64_pow(std::uint64_t a, std::uint64_t e);
 /// embed(a^b) = embed(a)^embed(b) (GF(2^8) products per gf::Gf256).
 /// embed(0) = 0, embed(1) = 1. The root is found once at startup.
 std::uint64_t gf64_embed(std::uint8_t value);
+
+class Fingerprinter;
+
+namespace detail {
+
+/// The two implementations behind gf64_mul() and
+/// Fingerprinter::fingerprint(), callable directly so tests can hold them
+/// against each other on any host. The _clmul ones require
+/// util::clmul_supported().
+std::uint64_t gf64_mul_portable(std::uint64_t a, std::uint64_t b);
+std::uint64_t gf64_mul_clmul(std::uint64_t a, std::uint64_t b);
+std::uint64_t fingerprint_portable(const Fingerprinter& fp, std::span<const std::uint8_t> payload);
+std::uint64_t fingerprint_clmul(const Fingerprinter& fp, std::span<const std::uint8_t> payload);
+
+}  // namespace detail
 
 /// Seeded fingerprinting context: derives a nonzero evaluation point from
 /// `seed` and precomputes the multiply-by-point tables. The same seed
@@ -80,6 +108,11 @@ class Fingerprinter {
                                std::span<const std::uint64_t> fingerprints) const;
 
  private:
+  friend std::uint64_t detail::fingerprint_portable(const Fingerprinter&,
+                                                    std::span<const std::uint8_t>);
+  friend std::uint64_t detail::fingerprint_clmul(const Fingerprinter&,
+                                                 std::span<const std::uint8_t>);
+
   using Table = std::array<std::uint64_t, 256>;
 
   std::uint64_t seed_ = 0;
@@ -90,6 +123,9 @@ class Fingerprinter {
   /// word_[j][b] = embed(b) * point_^(7-j): payload byte j of an 8-byte
   /// word at its Horner weight.
   std::array<Table, 8> word_{};
+  /// stride_[j] = point_^(8(7-j)) for j < 7 and stride_[7] = point_^64:
+  /// the clmul path's Horner weights within a 64-byte group.
+  std::array<std::uint64_t, 8> stride_{};
 };
 
 /// The per-source-block fingerprint manifest a collection verifies

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/clmul.h"
 #include "util/random.h"
 
 namespace prlc {
@@ -105,6 +107,70 @@ TEST(Crc32, PinnedValuesOfTheBytewiseImplementation) {
 
 TEST(Crc32, OrderMatters) {
   EXPECT_NE(crc32(bytes("ab")), crc32(bytes("ba")));
+}
+
+// --- portable vs carry-less path -------------------------------------------
+//
+// Each implementation is held against the bit-at-a-time reference on its
+// own, so the portable path stays covered on a PCLMULQDQ host and the
+// clmul path is checked wherever the CPU has it.
+
+using CrcPath = std::uint32_t (*)(std::span<const std::uint8_t>, std::uint32_t);
+
+/// Lengths 0-300 (every fold threshold: 63/64/65 bytes enter the 4-lane
+/// fold, 127/128 add a 64-byte round, and every L mod 16 tail) and
+/// 64 KiB +- 1..7, at start offsets 0-15, one-shot with a zero and a
+/// nonzero seed, and chained at every split within 16 bytes of either
+/// end, so a nonzero seed enters the fold of the second part.
+void expect_path_matches_reference(CrcPath crc) {
+  constexpr std::size_t kBig = 65536;
+  constexpr std::uint32_t kSeed = 0x9E3779B9u;
+  Rng rng(0xC1C);
+  std::vector<std::uint8_t> buffer(kBig + 7 + 16);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const auto from = std::span<const std::uint8_t>(buffer).subspan(offset);
+    // Reference values of every prefix, grown one byte at a time.
+    std::uint32_t want = reference_crc32({}, 0);
+    std::uint32_t want_seeded = reference_crc32({}, kSeed);
+    for (std::size_t len = 0; len <= kBig + 7; ++len) {
+      if (len <= 300 || (len + 7 >= kBig && len != kBig)) {
+        const auto data = from.first(len);
+        ASSERT_EQ(crc(data, 0), want) << "offset=" << offset << " len=" << len;
+        ASSERT_EQ(crc(data, kSeed), want_seeded) << "offset=" << offset << " len=" << len;
+        for (std::size_t k = 0; k <= std::min<std::size_t>(16, len); ++k) {
+          for (const std::size_t split : {k, len - k}) {
+            ASSERT_EQ(crc(data.subspan(split), crc(data.first(split), kSeed)), want_seeded)
+                << "offset=" << offset << " len=" << len << " split=" << split;
+          }
+        }
+      }
+      want = reference_crc32(from.subspan(len, 1), want);
+      want_seeded = reference_crc32(from.subspan(len, 1), want_seeded);
+    }
+  }
+}
+
+TEST(Crc32Paths, PortableMatchesReference) {
+  expect_path_matches_reference(util::detail::crc32_portable);
+}
+
+TEST(Crc32Paths, ClmulMatchesReference) {
+  if (!util::clmul_supported()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  expect_path_matches_reference(util::detail::crc32_clmul);
+}
+
+TEST(Crc32Paths, BothPathsReproduceThePinnedValues) {
+  // crc32() itself is pinned above; each path must agree with it.
+  for (const std::size_t len : {0, 1, 7, 8, 9, 16, 100, 1024, 65536, 65543}) {
+    std::vector<std::uint8_t> data(len);
+    for (std::size_t i = 0; i < len; ++i) data[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+    EXPECT_EQ(util::detail::crc32_portable(data, 0), crc32(data)) << "len=" << len;
+    if (util::clmul_supported()) {
+      EXPECT_EQ(util::detail::crc32_clmul(data, 0), crc32(data)) << "len=" << len;
+    }
+  }
+  EXPECT_STREQ(util::integrity_path(), util::clmul_supported() ? "clmul" : "portable");
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gf/gf256.h"
+#include "util/clmul.h"
 #include "util/random.h"
 
 namespace prlc::util {
@@ -286,6 +287,81 @@ TEST(Gf64Fingerprint, BuildManifestCoversEveryBlock) {
   for (std::size_t j = 0; j < blocks; ++j) {
     EXPECT_EQ(manifest.fingerprints[j],
               fp.fingerprint(std::span<const std::uint8_t>(source).subspan(j * size, size)));
+  }
+}
+
+// --- portable vs carry-less path -------------------------------------------
+//
+// Each implementation is held against byte-serial Horner with the bitwise
+// multiply on its own, so the portable path stays covered on a PCLMULQDQ
+// host and the clmul path is checked wherever the CPU has it.
+
+TEST(Gf64Paths, ClmulMultiplyMatchesBitwise) {
+  if (!clmul_supported()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  const std::uint64_t edges[] = {0, 1, ~std::uint64_t{0}, std::uint64_t{1} << 63};
+  for (const std::uint64_t a : edges) {
+    for (const std::uint64_t b : edges) {
+      ASSERT_EQ(detail::gf64_mul_clmul(a, b), detail::gf64_mul_portable(a, b))
+          << std::hex << "a=" << a << " b=" << b;
+    }
+  }
+  Rng rng(0xC1A);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t a = rng();
+    const std::uint64_t b = rng();
+    ASSERT_EQ(detail::gf64_mul_clmul(a, b), detail::gf64_mul_portable(a, b))
+        << std::hex << "a=" << a << " b=" << b;
+  }
+}
+
+using FingerprintPath = std::uint64_t (*)(const Fingerprinter&, std::span<const std::uint8_t>);
+
+/// Lengths 0-300 (word counts on every residue mod 8, with and without a
+/// padded head word, and every group boundary up to 4 groups) and
+/// 64 KiB +- 1..7, at start offsets 0-15.
+void expect_path_matches_reference(FingerprintPath path) {
+  constexpr std::size_t kBig = 65536;
+  Rng rng(0xA12);
+  std::vector<std::uint8_t> buffer(kBig + 7 + 16);
+  for (auto& b : buffer) b = static_cast<std::uint8_t>(rng());
+  for (const std::uint64_t seed : {std::uint64_t{5}, std::uint64_t{0xFEED}}) {
+    const Fingerprinter fp(seed);
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const auto from = std::span<const std::uint8_t>(buffer).subspan(offset);
+      std::uint64_t acc = 0;
+      for (std::size_t len = 0; len <= kBig + 7; ++len) {
+        if (len <= 300 || (len + 7 >= kBig && len != kBig)) {
+          ASSERT_EQ(path(fp, from.first(len)), acc)
+              << "seed=" << seed << " offset=" << offset << " len=" << len;
+        }
+        acc = detail::gf64_mul_portable(acc, fp.point()) ^ gf64_embed(from[len]);
+      }
+    }
+  }
+}
+
+TEST(Gf64Paths, PortableFingerprintMatchesReference) {
+  expect_path_matches_reference(detail::fingerprint_portable);
+}
+
+TEST(Gf64Paths, ClmulFingerprintMatchesReference) {
+  if (!clmul_supported()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  expect_path_matches_reference(detail::fingerprint_clmul);
+}
+
+TEST(Gf64Paths, BothPathsReproduceThePinnedValues) {
+  // fingerprint() itself is pinned above; each path must agree with it.
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{42}}) {
+    const Fingerprinter fp(seed);
+    for (const std::size_t len : {0, 1, 7, 8, 9, 16, 100, 1024, 65536, 65543}) {
+      const auto data = pattern(len);
+      EXPECT_EQ(detail::fingerprint_portable(fp, data), fp.fingerprint(data))
+          << "seed=" << seed << " len=" << len;
+      if (clmul_supported()) {
+        EXPECT_EQ(detail::fingerprint_clmul(fp, data), fp.fingerprint(data))
+            << "seed=" << seed << " len=" << len;
+      }
+    }
   }
 }
 

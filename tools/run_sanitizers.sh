@@ -4,7 +4,13 @@
 # The GF(2^8) SIMD kernels do unaligned vector loads and hand-rolled tail
 # handling — exactly the code where out-of-bounds reads hide — so CI (or a
 # developer, before touching src/gf) should run this script in addition to
-# the plain test suite. The hybrid peeling/GE decoder's differential fuzz
+# the plain test suite. The same holds for the integrity kernels in
+# src/util: the PCLMULQDQ CRC-32 fold and GF(2^64) fingerprint do 16-byte
+# loads and finish their tails through the table loops, and test_util's
+# Crc32Paths/Gf64Paths suites plus test_codes' fold-lane wire fuzz drive
+# them at every length, offset and chaining split near a lane boundary
+# (`-R 'test_util|test_codes|test_proto'` is the quick sweep after
+# touching them). The hybrid peeling/GE decoder's differential fuzz
 # (test_linalg: sparse row merges, densification, batched window growth)
 # runs in this ASan/UBSan phase as part of the full suite.
 #
