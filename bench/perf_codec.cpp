@@ -2,21 +2,22 @@
 //
 // Not a paper figure; engineering numbers for the library itself: field
 // kernels, encoder throughput, progressive-decoder cost at the paper's
-// scales, batch RREF — and the payload sweep: PayloadCodec encode/decode
-// over real multi-MB objects across (payload, chunk, thread) grids, the
-// numbers behind BENCH_codec.json. The sweep runs first (a custom timed
-// loop, not google-benchmark) so its series is series[0] of --json.
+// scales, batch RREF — and the payload sweep: PriorityEncoder encode and
+// PriorityDecoder decode of real multi-MB objects, the numbers behind
+// BENCH_codec.json. The sweep runs first (a custom timed loop, not
+// google-benchmark) so its series is series[0] of --json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
-#include "codec/payload_codec.h"
 #include "codes/decoder.h"
 #include "codes/encoder.h"
 #include "gf/gf256.h"
@@ -26,7 +27,6 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "runtime/thread_pool.h"
 #include "util/check.h"
 #include "util/clmul.h"
 #include "util/crc32.h"
@@ -44,44 +44,48 @@ double seconds_since(std::uint64_t start_ns) {
   return static_cast<double>(obs::ScopedTimer::now_ns() - start_ns) * 1e-9;
 }
 
-struct SweepMeasurement {
+struct SweepPass {
   double encode_s = 0;
   double decode_s = 0;
-  std::vector<std::vector<std::uint8_t>> coded;      // encode outputs
-  std::vector<std::vector<std::uint8_t>> eliminated; // decode-consumed buffers
 };
 
-/// One timed encode + decode pass of `codec` over the given rows/source.
-SweepMeasurement run_codec_pass(const codec::PayloadCodec& codec,
-                                std::span<const std::vector<std::uint8_t>> rows,
-                                const codes::SourceData<F>& source) {
-  SweepMeasurement m;
+/// One timed encode + decode pass through the production payload path:
+/// N lowest-priority PLC blocks (full-support rows, the worst-case and
+/// steady-state payload workload) from an encoder with the source attached,
+/// then a payload-carrying PriorityDecoder over them. Requires every
+/// recovered block to equal its source bytes.
+SweepPass run_payload_pass(const codes::PriorityEncoder<F>& enc,
+                           const codes::SourceData<F>& source, Rng& rng) {
+  const codes::PrioritySpec& spec = enc.spec();
+  const std::size_t n = spec.total();
+  const std::size_t deepest = spec.levels() - 1;
+  SweepPass pass;
+
+  std::vector<codes::CodedBlock<F>> coded;
+  coded.reserve(n);
   const std::uint64_t t0 = obs::ScopedTimer::now_ns();
-  m.coded = codec.encode(rows, source);
-  m.encode_s = seconds_since(t0);
+  for (std::size_t i = 0; i < n; ++i) coded.push_back(enc.encode(deepest, rng));
+  pass.encode_s = seconds_since(t0);
 
-  m.eliminated = m.coded;  // decode eliminates in place; keep coded pristine
+  codes::PriorityDecoder<F> dec(codes::Scheme::kPlc, spec, source.block_size());
   const std::uint64_t t1 = obs::ScopedTimer::now_ns();
-  const auto result = codec.decode(rows, m.eliminated);
-  m.decode_s = seconds_since(t1);
-  benchmark::DoNotOptimize(result.rank);
-  return m;
-}
+  for (const auto& block : coded) dec.add(block);
+  pass.decode_s = seconds_since(t1);
 
-bool same_buffers(const std::vector<std::vector<std::uint8_t>>& a,
-                  const std::vector<std::vector<std::uint8_t>>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] != b[i]) return false;
+  // N random rows are singular with probability about 1/255; top up
+  // outside the timed region so the check below covers every block.
+  while (dec.rank() < n) dec.add(enc.encode(deepest, rng));
+  for (std::size_t j = 0; j < n; ++j) {
+    PRLC_REQUIRE(std::ranges::equal(dec.recovered(j), source.block(j)),
+                 "recovered payload differs from its source block");
   }
-  return true;
+  return pass;
 }
 
-/// PayloadCodec throughput grid: payload-size x chunk-size x threads, PLC
-/// over 4 uniform levels. Reports bytes/s (object bytes per wall second)
-/// and speedup against the serial single-threaded reference path, and
-/// cross-checks that every multithreaded run produced bit-identical
-/// encode outputs and eliminated payload buffers.
+/// Encoder/decoder throughput over real multi-MB objects, PLC over 4
+/// uniform levels: object bytes per wall second for each phase, the median
+/// of 3 passes (1 under PRLC_BENCH_FAST); every pass checks recovered ==
+/// source.
 void run_payload_sweep(bench::BenchReport& report) {
   const bench::Options& opt = bench::options();
   const bool fast = bench::fast_mode();
@@ -94,77 +98,56 @@ void run_payload_sweep(bench::BenchReport& report) {
   } else {
     payload_sizes = {std::size_t{4} << 20, std::size_t{64} << 20};
   }
-  std::vector<std::size_t> chunk_sizes;
-  if (opt.chunk_bytes) {
-    chunk_sizes = {*opt.chunk_bytes};
-  } else if (fast) {
-    chunk_sizes = {std::size_t{32} << 10};
-  } else {
-    chunk_sizes = {std::size_t{32} << 10, std::size_t{128} << 10};
-  }
-  std::vector<std::size_t> thread_counts;
-  if (opt.threads != 0) {
-    thread_counts = {opt.threads};
-  } else if (fast) {
-    thread_counts = {1, 2};
-  } else {
-    thread_counts = {1, 2, 4, 8};
-  }
 
   const std::size_t levels = 4;
   const std::size_t n = fast ? 16 : 64;  // source blocks (levels x n/levels)
+  const std::size_t passes = fast ? 1 : 3;
   Rng rng(opt.seed_or(0x5eedc0dec));
 
-  std::printf("payload sweep: PLC, %zu levels, N=%zu\n", levels, n);
+  std::printf("payload sweep: PLC, %zu levels, N=%zu, median of %zu passes\n", levels, n,
+              passes);
   for (const std::size_t requested : payload_sizes) {
     const std::size_t block_size = std::max<std::size_t>(1, requested / n);
     const std::size_t object_bytes = block_size * n;
     const auto spec = codes::PrioritySpec::uniform(levels, n / levels);
     const auto source = codes::SourceData<F>::random(n, block_size, rng);
-    // Lowest-priority PLC rows span all N source blocks: dense rows, the
-    // worst-case (and steady-state) payload workload.
-    const codes::PriorityEncoder<F> enc(codes::Scheme::kPlc, spec);
-    std::vector<std::vector<std::uint8_t>> rows;
-    for (std::size_t i = 0; i < n; ++i) {
-      rows.push_back(enc.encode(levels - 1, rng).coeffs);
+    const codes::PriorityEncoder<F> enc(codes::Scheme::kPlc, spec, {}, &source);
+
+    std::vector<double> encode_s;
+    std::vector<double> decode_s;
+    for (std::size_t p = 0; p < passes; ++p) {
+      const SweepPass pass = run_payload_pass(enc, source, rng);
+      encode_s.push_back(pass.encode_s);
+      decode_s.push_back(pass.decode_s);
     }
-
-    for (const std::size_t chunk : chunk_sizes) {
-      const codec::PayloadCodec serial_codec(codes::Scheme::kPlc, spec,
-                                             {.chunk_bytes = chunk});
-      // Untimed warm-up so the timed serial baseline is not paying the
-      // first-touch page faults the later pool runs avoid.
-      run_codec_pass(serial_codec, rows, source);
-      const SweepMeasurement serial = run_codec_pass(serial_codec, rows, source);
-
-      for (const std::size_t threads : thread_counts) {
-        runtime::ThreadPool pool(threads);
-        const codec::PayloadCodec codec(codes::Scheme::kPlc, spec,
-                                        {.chunk_bytes = chunk, .pool = &pool});
-        const SweepMeasurement run = run_codec_pass(codec, rows, source);
-        const bool identical = same_buffers(run.coded, serial.coded) &&
-                               same_buffers(run.eliminated, serial.eliminated);
-        PRLC_REQUIRE(identical, "multithreaded codec output diverged from serial");
-
-        const double enc_bps = static_cast<double>(object_bytes) / run.encode_s;
-        const double dec_bps = static_cast<double>(object_bytes) / run.decode_s;
-        report.add_point("payload_sweep",
-                         {{"payload_bytes", json::Value(static_cast<std::int64_t>(object_bytes))},
-                          {"chunk_bytes", json::Value(static_cast<std::int64_t>(chunk))},
-                          {"threads", json::Value(static_cast<std::int64_t>(threads))},
-                          {"encode_bytes_per_s", json::Value(enc_bps)},
-                          {"decode_bytes_per_s", json::Value(dec_bps)},
-                          {"encode_speedup_vs_serial", json::Value(serial.encode_s / run.encode_s)},
-                          {"decode_speedup_vs_serial", json::Value(serial.decode_s / run.decode_s)},
-                          {"identical_to_serial", json::Value(identical)}});
-        std::printf(
-            "  payload %9zu  chunk %7zu  threads %zu  encode %8.1f MB/s (x%.2f)  "
-            "decode %8.1f MB/s (x%.2f)\n",
-            object_bytes, chunk, threads, enc_bps * 1e-6, serial.encode_s / run.encode_s,
-            dec_bps * 1e-6, serial.decode_s / run.decode_s);
-      }
-    }
+    const auto median = [](std::vector<double> v) {
+      std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
+                       v.end());
+      return v[v.size() / 2];
+    };
+    const double enc_bps = static_cast<double>(object_bytes) / median(encode_s);
+    const double dec_bps = static_cast<double>(object_bytes) / median(decode_s);
+    report.add_point("payload_sweep",
+                     {{"payload_bytes", json::Value(static_cast<std::int64_t>(object_bytes))},
+                      {"encode_bytes_per_s", json::Value(enc_bps)},
+                      {"decode_bytes_per_s", json::Value(dec_bps)}});
+    std::printf("  payload %9zu  encode %8.1f MB/s  decode %8.1f MB/s\n", object_bytes,
+                enc_bps * 1e-6, dec_bps * 1e-6);
   }
+}
+
+/// "model name" of the first CPU in /proc/cpuinfo ("unknown" elsewhere).
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t value = line.find_first_not_of(" \t", colon + 1);
+    return value == std::string::npos ? "unknown" : line.substr(value);
+  }
+  return "unknown";
 }
 
 void BM_GfMul(benchmark::State& state) {
@@ -543,6 +526,9 @@ int main(int argc, char** argv) {
   bench::BenchReport report("perf_codec");
   report.set_config("dispatch", json::Value(gf::gf256_active_ops().name));
   report.set_config("integrity_path", json::Value(util::integrity_path()));
+  report.set_config("cpu_model", json::Value(cpu_model()));
+  report.set_config("logical_cores",
+                    json::Value(static_cast<std::int64_t>(std::thread::hardware_concurrency())));
   report.set_config("gf_tile_bytes",
                     json::Value(static_cast<std::int64_t>(gf::gf256_tile_bytes())));
   // The payload sweep goes first so its series lands at series[0] of the

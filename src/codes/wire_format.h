@@ -47,8 +47,8 @@ struct WireBlock {
 };
 
 /// Borrowed view of one coded block for serialization: coefficient and
-/// payload storage is owned elsewhere (a SourceData row, a codec output
-/// buffer, an arena). Serializing a view never copies the payload into an
+/// payload storage is owned elsewhere (a SourceData row, a decoder's
+/// payload row, an arena). Serializing a view never copies the payload into an
 /// intermediate CodedBlock.
 struct CodedBlockView {
   std::size_t level = 0;

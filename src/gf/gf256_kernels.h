@@ -112,13 +112,13 @@ void gf256_force_active_kernel(Gf256Kernel k);
 void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
                       const std::uint8_t* x, std::size_t rows, std::size_t n);
 
-/// Cache-tile size (bytes) used by gf256_axpy_batch and, by default, the
-/// payload codec's execution graphs. Resolution order, decided once at
-/// first call: PRLC_GF_TILE=<bytes> (validated; a malformed or
-/// out-of-range value warns on stderr and is ignored), PRLC_GF_TILE=auto
-/// (runs gf256_autotune_tile_bytes()), else the built-in default of
-/// 8 KiB. Later gf256_set_tile_bytes() calls override it. The current
-/// value is mirrored into the obs gauge "gf256.tile_bytes".
+/// Cache-tile size (bytes) used by gf256_axpy_batch. Resolution order,
+/// decided once at first call: PRLC_GF_TILE=<bytes> (validated; a
+/// malformed or out-of-range value warns on stderr and is ignored),
+/// PRLC_GF_TILE=auto (runs gf256_autotune_tile_bytes()), else the
+/// built-in default of 8 KiB. Later gf256_set_tile_bytes() calls
+/// override it. The current value is mirrored into the obs gauge
+/// "gf256.tile_bytes".
 std::size_t gf256_tile_bytes();
 
 /// Legal tile range for gf256_set_tile_bytes / PRLC_GF_TILE.

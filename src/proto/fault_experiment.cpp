@@ -3,9 +3,7 @@
 #include <memory>
 
 #include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "net/churn.h"
-#include "net/sensor_network.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -16,29 +14,6 @@
 namespace prlc::proto {
 
 namespace {
-
-std::unique_ptr<net::Overlay> make_overlay(const FaultSweepParams& params,
-                                           std::size_t locations, std::uint64_t seed) {
-  switch (params.overlay) {
-    case OverlayKind::kSensor: {
-      net::SensorParams sp;
-      sp.nodes = params.nodes;
-      sp.locations = locations;
-      sp.seed = seed;
-      sp.two_choices = params.two_choices;
-      return std::make_unique<net::SensorNetwork>(sp);
-    }
-    case OverlayKind::kChord: {
-      net::ChordParams cp;
-      cp.nodes = params.nodes;
-      cp.locations = locations;
-      cp.seed = seed;
-      cp.two_choices = params.two_choices;
-      return std::make_unique<net::ChordNetwork>(cp);
-    }
-  }
-  PRLC_ASSERT(false, "unknown overlay kind");
-}
 
 /// One trial's contribution, slotted by trial index for the ordered
 /// merge (see runtime/trial_runner.h).
@@ -108,7 +83,8 @@ std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
         trials_run.add();
         obs::ScopedSpan trial_span("trial", "fault_experiment",
                                    {{"trial", static_cast<double>(t)}});
-        auto overlay = make_overlay(params, locations, rng());
+        auto overlay =
+            make_overlay(params.overlay, params.nodes, locations, params.two_choices, rng());
         Predistribution predist(*overlay, spec, dist, proto);
         const auto source =
             codes::SourceData<Field>::random(spec.total(), proto.block_size, rng);

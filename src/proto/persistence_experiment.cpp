@@ -25,30 +25,31 @@ const char* to_string(OverlayKind kind) {
   PRLC_ASSERT(false, "unknown overlay kind");
 }
 
-namespace {
-
-std::unique_ptr<net::Overlay> make_overlay(const PersistenceParams& params,
-                                           std::size_t locations, std::uint64_t seed) {
-  switch (params.overlay) {
+std::unique_ptr<net::Overlay> make_overlay(OverlayKind kind, std::size_t nodes,
+                                           std::size_t locations, bool two_choices,
+                                           std::uint64_t seed) {
+  switch (kind) {
     case OverlayKind::kSensor: {
       net::SensorParams sp;
-      sp.nodes = params.nodes;
+      sp.nodes = nodes;
       sp.locations = locations;
       sp.seed = seed;
-      sp.two_choices = params.two_choices;
+      sp.two_choices = two_choices;
       return std::make_unique<net::SensorNetwork>(sp);
     }
     case OverlayKind::kChord: {
       net::ChordParams cp;
-      cp.nodes = params.nodes;
+      cp.nodes = nodes;
       cp.locations = locations;
       cp.seed = seed;
-      cp.two_choices = params.two_choices;
+      cp.two_choices = two_choices;
       return std::make_unique<net::ChordNetwork>(cp);
     }
   }
   PRLC_ASSERT(false, "unknown overlay kind");
 }
+
+namespace {
 
 /// Everything one trial contributes to the sweep, slotted by trial index
 /// so aggregation can happen in trial order after the parallel section.
@@ -137,7 +138,8 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
             {{"trial", static_cast<double>(t)},
              {"scheme",
               static_cast<double>(static_cast<int>(params.experiment.scheme))}});
-        auto overlay = make_overlay(params, locations, rng());
+        auto overlay =
+            make_overlay(params.overlay, params.nodes, locations, params.two_choices, rng());
         Predistribution predist(*overlay, spec, dist, proto);
         const auto source =
             codes::SourceData<Field>::random(spec.total(), proto.block_size, rng);

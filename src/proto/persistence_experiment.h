@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "proto/experiment_config.h"
@@ -21,6 +22,13 @@ namespace prlc::proto {
 enum class OverlayKind { kSensor, kChord };
 
 const char* to_string(OverlayKind kind);
+
+/// The overlay one experiment trial deploys: `nodes` nodes serving
+/// `locations` storage locations, built from `seed`. Shared by the
+/// persistence, fault and integrity experiments.
+std::unique_ptr<net::Overlay> make_overlay(OverlayKind kind, std::size_t nodes,
+                                           std::size_t locations, bool two_choices,
+                                           std::uint64_t seed);
 
 struct PersistenceParams {
   OverlayKind overlay = OverlayKind::kSensor;

@@ -124,18 +124,31 @@ TEST(Encoder, SparseWeightClampedToSupport) {
 }
 
 TEST(Encoder, PayloadIsLinearCombination) {
+  // Block sizes straddle the GF(256) kernels' vector widths and tails:
+  // 1 B, 7 B, 4 KiB +/- 1 and 128 KiB + 17.
   Rng rng(96);
   const auto spec = small_spec();
-  const auto source = SourceData<F>::random(spec.total(), 7, rng);
-  const PriorityEncoder<F> enc(Scheme::kPlc, spec, {}, &source);
-  for (std::size_t level = 0; level < spec.levels(); ++level) {
-    const auto block = enc.encode(level, rng);
-    ASSERT_EQ(block.payload.size(), 7u);
-    std::vector<std::uint8_t> expect(7, 0);
-    for (std::size_t j = 0; j < spec.total(); ++j) {
-      F::axpy(std::span<std::uint8_t>(expect), block.coeffs[j], source.block(j));
+  for (const std::size_t block_size : {std::size_t{1}, std::size_t{7}, std::size_t{4095},
+                                       std::size_t{4097}, std::size_t{131089}}) {
+    const auto source = SourceData<F>::random(spec.total(), block_size, rng);
+    for (Scheme scheme : {Scheme::kRlc, Scheme::kSlc, Scheme::kPlc}) {
+      const PriorityEncoder<F> enc(scheme, spec, {}, &source);
+      for (std::size_t level = 0; level < spec.levels(); ++level) {
+        const auto block = enc.encode(level, rng);
+        ASSERT_EQ(block.payload.size(), block_size);
+        // Byte-wise reference: sum_j c_j * x_j through F::mul alone, no
+        // kernel and no fused linear combination.
+        std::vector<std::uint8_t> expect(block_size, 0);
+        for (std::size_t j = 0; j < spec.total(); ++j) {
+          const std::uint8_t c = block.coeffs[j];
+          if (c == 0) continue;
+          const auto src = source.block(j);
+          for (std::size_t k = 0; k < block_size; ++k) expect[k] ^= F::mul(c, src[k]);
+        }
+        ASSERT_EQ(block.payload, expect) << "block size " << block_size << " scheme "
+                                         << to_string(scheme) << " level " << level;
+      }
     }
-    EXPECT_EQ(block.payload, expect);
   }
 }
 

@@ -52,17 +52,17 @@ cmake -B "${tsan_build_dir}" -S "${repo_root}" \
   -DPRLC_SANITIZE=thread
 cmake --build "${tsan_build_dir}" -j"${jobs}" \
   --target test_obs --target test_obs_noalloc --target test_runtime \
-  --target test_codec --target test_codes --target test_proto --target test_sim \
+  --target test_codes --target test_proto --target test_sim \
   --target abl_persistence_e2e --target abl_fault --target abl_cluster_lifetime \
   --target abl_integrity
 
-# test_codec drives the dependency-counting OpGraph executor (the codec's
-# multithreaded data plane) across pools of 1/2/8 workers — the prime
-# TSan target this repo has.
+# test_runtime drives the work-stealing ThreadPool and the TrialRunner's
+# sharded trial distribution across pools of several workers — the prime
+# TSan targets this repo has — beside the obs suites.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${tsan_build_dir}" --output-on-failure -j"${jobs}" \
-  -R '^test_obs$|^test_obs_noalloc$|^test_runtime$|^test_codec$'
-# The telemetry determinism tests run parallel trials that record into the
+  -R '^test_obs$|^test_obs_noalloc$|^test_runtime$'
+# The TelemetryDeterminism.* tests run parallel trials that record into the
 # event journal and time-series rings — the exact thread-local-handoff
 # code TSan exists to vet.
 "${tsan_build_dir}/tests/test_proto" \
