@@ -530,7 +530,7 @@ int main(int argc, char** argv) {
   report.set_config("logical_cores",
                     json::Value(static_cast<std::int64_t>(std::thread::hardware_concurrency())));
   report.set_config("gf_tile_bytes",
-                    json::Value(static_cast<std::int64_t>(gf::gf256_tile_bytes())));
+                    json::Value(static_cast<std::int64_t>(gf::kGf256TileBytes)));
   // The payload sweep goes first so its series lands at series[0] of the
   // --json report (smoke_codec's prlc_json_check paths rely on that).
   run_payload_sweep(report);

@@ -73,16 +73,7 @@ class PriorityEncoder {
 
   /// Source-block index range [begin, end) a level-k coded block may mix.
   std::pair<std::size_t, std::size_t> support(std::size_t level) const {
-    PRLC_REQUIRE(level < spec_.levels(), "level out of range");
-    switch (scheme_) {
-      case Scheme::kRlc:
-        return {0, spec_.total()};
-      case Scheme::kSlc:
-        return {spec_.level_begin(level), spec_.level_end(level)};
-      case Scheme::kPlc:
-        return {0, spec_.level_end(level)};
-    }
-    PRLC_ASSERT(false, "unknown scheme");
+    return codes::support(scheme_, spec_, level);
   }
 
   /// Produce one coded block of the given level.

@@ -7,6 +7,20 @@
 
 namespace prlc::codes {
 
+std::pair<std::size_t, std::size_t> support(Scheme scheme, const PrioritySpec& spec,
+                                            std::size_t level) {
+  PRLC_REQUIRE(level < spec.levels(), "level out of range");
+  switch (scheme) {
+    case Scheme::kRlc:
+      return {0, spec.total()};
+    case Scheme::kSlc:
+      return {spec.level_begin(level), spec.level_end(level)};
+    case Scheme::kPlc:
+      return {0, spec.level_end(level)};
+  }
+  PRLC_ASSERT(false, "unknown scheme");
+}
+
 PrioritySpec::PrioritySpec(std::vector<std::size_t> level_sizes)
     : sizes_(std::move(level_sizes)) {
   PRLC_REQUIRE(!sizes_.empty(), "a priority spec needs at least one level");

@@ -14,8 +14,10 @@
 #include <optional>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "codes/scheme.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -72,6 +74,12 @@ class PrioritySpec {
   std::vector<std::size_t> sizes_;
   std::vector<std::size_t> prefix_;
 };
+
+/// Source-block index range [begin, end) a level-`level` coded block of
+/// `scheme` may mix (Fig. 1): every source under RLC, level `level` alone
+/// under SLC, levels 0..level under PLC.
+std::pair<std::size_t, std::size_t> support(Scheme scheme, const PrioritySpec& spec,
+                                            std::size_t level);
 
 /// Non-throwing parse of a comma-separated level-size list ("50,100,350")
 /// into a spec; nullopt on malformed text, a zero size, or overflow. The

@@ -45,6 +45,10 @@ class SourceData {
     return {data_.data() + i * block_size_, block_size_};
   }
 
+  /// Every payload back to back (block i at offset i * block_size) — the
+  /// layout util::build_manifest fingerprints, with no copy.
+  std::span<const Symbol> data() const { return data_; }
+
  private:
   std::size_t blocks_;
   std::size_t block_size_;

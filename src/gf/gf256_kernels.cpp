@@ -579,100 +579,6 @@ void gf256_force_active_kernel(Gf256Kernel k) {
   record_dispatch(k);
 }
 
-namespace {
-
-/// Default batch tile: 8 KiB leaves room in L1 for the target chunk.
-constexpr std::size_t kDefaultTileBytes = 8192;
-
-std::size_t measure_batch_ns(std::size_t tile, std::uint8_t* const* ys,
-                             const std::uint8_t* coeffs, const std::uint8_t* x,
-                             std::size_t rows, std::size_t n) {
-  const Gf256KernelOps& ops = gf256_kernel_ops(gf256_active_kernel());
-  const std::uint64_t start = obs::ScopedTimer::now_ns();
-  for (std::size_t off = 0; off < n; off += tile) {
-    const std::size_t len = n - off < tile ? n - off : tile;
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (coeffs[r] == 0) continue;
-      ops.axpy(ys[r] + off, x + off, coeffs[r], len);
-    }
-  }
-  return obs::ScopedTimer::now_ns() - start;
-}
-
-void record_tile(std::size_t bytes) {
-  obs::gauge("gf256.tile_bytes").set(static_cast<std::int64_t>(bytes));
-}
-
-/// Resolve the initial tile size from PRLC_GF_TILE, once.
-std::size_t resolve_tile_bytes() {
-  const char* want = std::getenv("PRLC_GF_TILE");
-  if (want == nullptr || *want == '\0') return kDefaultTileBytes;
-  if (std::strcmp(want, "auto") == 0) return gf256_autotune_tile_bytes();
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(want, &end, 10);
-  if (end == want || *end != '\0' || parsed < kGf256TileMin || parsed > kGf256TileMax) {
-    std::fprintf(stderr,
-                 "prlc: PRLC_GF_TILE=%s is not a byte count in [%zu, %zu] or "
-                 "\"auto\"; keeping the default tile of %zu bytes\n",
-                 want, kGf256TileMin, kGf256TileMax, kDefaultTileBytes);
-    return kDefaultTileBytes;
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
-std::atomic<std::size_t> g_tile_bytes{0};  // 0 = not resolved yet
-
-}  // namespace
-
-std::size_t gf256_tile_bytes() {
-  std::size_t t = g_tile_bytes.load(std::memory_order_acquire);
-  if (t == 0) {
-    const std::size_t resolved = resolve_tile_bytes();
-    std::size_t expected = 0;
-    // First resolver wins; a concurrent gf256_set_tile_bytes also wins.
-    g_tile_bytes.compare_exchange_strong(expected, resolved, std::memory_order_acq_rel);
-    t = g_tile_bytes.load(std::memory_order_acquire);
-    record_tile(t);
-  }
-  return t;
-}
-
-void gf256_set_tile_bytes(std::size_t bytes) {
-  PRLC_REQUIRE(bytes >= kGf256TileMin && bytes <= kGf256TileMax,
-               "GF(256) batch tile size out of range");
-  g_tile_bytes.store(bytes, std::memory_order_release);
-  record_tile(bytes);
-}
-
-std::size_t gf256_autotune_tile_bytes(std::span<const std::size_t> candidates) {
-  static constexpr std::size_t kDefaultCandidates[] = {8192, 16384, 32768, 65536, 131072};
-  if (candidates.empty()) candidates = kDefaultCandidates;
-  constexpr std::size_t kRows = 32;
-  constexpr std::size_t kBytes = 256 * 1024;
-  std::vector<std::uint8_t> x(kBytes, 0x5A);
-  std::vector<std::vector<std::uint8_t>> targets(kRows, std::vector<std::uint8_t>(kBytes));
-  std::vector<std::uint8_t*> ys;
-  std::vector<std::uint8_t> coeffs;
-  for (std::size_t r = 0; r < kRows; ++r) {
-    ys.push_back(targets[r].data());
-    coeffs.push_back(static_cast<std::uint8_t>(1 + r));
-  }
-  std::size_t best = candidates[0];
-  std::uint64_t best_ns = ~std::uint64_t{0};
-  for (std::size_t tile : candidates) {
-    PRLC_REQUIRE(tile >= kGf256TileMin && tile <= kGf256TileMax,
-                 "autotune candidate tile size out of range");
-    measure_batch_ns(tile, ys.data(), coeffs.data(), x.data(), kRows, kBytes);  // warm-up
-    const std::uint64_t ns =
-        measure_batch_ns(tile, ys.data(), coeffs.data(), x.data(), kRows, kBytes);
-    if (ns < best_ns) {
-      best_ns = ns;
-      best = tile;
-    }
-  }
-  return best;
-}
-
 void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
                       const std::uint8_t* x, std::size_t rows, std::size_t n) {
   const Gf256KernelOps& ops = gf256_active_ops();
@@ -684,7 +590,7 @@ void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
   batch_bytes.add(rows * n);
   // Tile the shared source row so each chunk is applied to every target
   // while still L1/L2-resident.
-  const std::size_t tile = gf256_tile_bytes();
+  constexpr std::size_t tile = kGf256TileBytes;
   for (std::size_t off = 0; off < n; off += tile) {
     const std::size_t len = n - off < tile ? n - off : tile;
     for (std::size_t r = 0; r < rows; ++r) {

@@ -43,7 +43,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace prlc::gf {
@@ -108,31 +107,12 @@ void gf256_force_active_kernel(Gf256Kernel k);
 /// source row is applied to every target before moving on — the decoder's
 /// back-elimination step, where one new pivot row updates many stored
 /// rows, is exactly this shape. Rows with coeffs[r] == 0 are skipped.
-/// The tile size is gf256_tile_bytes().
+/// The tile size is kGf256TileBytes.
 void gf256_axpy_batch(std::uint8_t* const* ys, const std::uint8_t* coeffs,
                       const std::uint8_t* x, std::size_t rows, std::size_t n);
 
-/// Cache-tile size (bytes) used by gf256_axpy_batch. Resolution order,
-/// decided once at first call: PRLC_GF_TILE=<bytes> (validated; a
-/// malformed or out-of-range value warns on stderr and is ignored),
-/// PRLC_GF_TILE=auto (runs gf256_autotune_tile_bytes()), else the
-/// built-in default of 8 KiB. Later gf256_set_tile_bytes() calls
-/// override it. The current value is mirrored into the obs gauge
-/// "gf256.tile_bytes".
-std::size_t gf256_tile_bytes();
-
-/// Legal tile range for gf256_set_tile_bytes / PRLC_GF_TILE.
-inline constexpr std::size_t kGf256TileMin = 64;
-inline constexpr std::size_t kGf256TileMax = std::size_t{1} << 30;
-
-/// Programmatic override of the batch tile size (benchmarks, tuning).
-/// Requires kGf256TileMin <= bytes <= kGf256TileMax.
-void gf256_set_tile_bytes(std::size_t bytes);
-
-/// Measure gf256_axpy_batch over a small synthetic workload (32 rows,
-/// 256 KiB each) at every candidate size and return the fastest. Does not
-/// change the active tile size; pass the result to gf256_set_tile_bytes
-/// to adopt it. An empty candidate list uses {8, 16, 32, 64, 128} KiB.
-std::size_t gf256_autotune_tile_bytes(std::span<const std::size_t> candidates = {});
+/// Cache-tile size (bytes) used by gf256_axpy_batch: 8 KiB leaves room
+/// in L1 for the target chunk.
+inline constexpr std::size_t kGf256TileBytes = 8192;
 
 }  // namespace prlc::gf

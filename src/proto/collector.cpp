@@ -405,24 +405,28 @@ CollectionOutcome collect(const Predistribution& dist, codes::PriorityDecoder<Fi
   return collect(channel, decoder, options, rng);
 }
 
+ByteCheck check_decoded_bytes(const codes::PriorityDecoder<Field>& decoder,
+                              const codes::SourceData<Field>& source) {
+  PRLC_REQUIRE(source.blocks() == decoder.spec().total(),
+               "source data does not match the decoder's spec");
+  ByteCheck check;
+  for (std::size_t j = 0; j < source.blocks(); ++j) {
+    if (!decoder.is_block_decoded(j)) continue;
+    ++check.decoded_blocks;
+    const auto got = decoder.recovered(j);
+    const auto want = source.block(j);
+    if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) ++check.wrong_blocks;
+  }
+  return check;
+}
+
 std::pair<CollectionResult, bool> collect_and_verify(const Predistribution& dist,
                                                      const codes::SourceData<Field>& original,
                                                      Rng& rng) {
   codes::PriorityDecoder<Field> decoder(dist.params().scheme, dist.spec(),
                                         dist.params().block_size);
   const CollectionResult result = collect(dist, decoder, {}, rng).result;
-
-  bool all_match = true;
-  for (std::size_t j = 0; j < dist.spec().total(); ++j) {
-    if (!decoder.is_block_decoded(j)) continue;
-    const auto got = decoder.recovered(j);
-    const auto want = original.block(j);
-    if (!std::equal(got.begin(), got.end(), want.begin(), want.end())) {
-      all_match = false;
-      break;
-    }
-  }
-  return {result, all_match};
+  return {result, check_decoded_bytes(decoder, original).wrong_blocks == 0};
 }
 
 }  // namespace prlc::proto

@@ -168,9 +168,23 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
 CollectionOutcome collect(const Predistribution& dist, codes::PriorityDecoder<Field>& decoder,
                           const CollectorOptions& options, Rng& rng);
 
+/// Byte check of one collection: how many source blocks `decoder` has
+/// decoded, and how many of those differ from `source` in any byte.
+/// Undecoded blocks are not compared.
+struct ByteCheck {
+  std::size_t decoded_blocks = 0;
+  std::size_t wrong_blocks = 0;
+};
+
+/// THE zero-wrong-bytes check: compare every decoded block of `decoder`
+/// with its source block. Every experiment trial runs it after each
+/// collection (proto/experiment_trial.h).
+ByteCheck check_decoded_bytes(const codes::PriorityDecoder<Field>& decoder,
+                              const codes::SourceData<Field>& source);
+
 /// Convenience: build a payload decoder, collect everything retrievable,
-/// and verify every decoded payload against `original`. Returns the
-/// result plus the verification verdict (all decoded payloads correct).
+/// and byte-check it against `original`. Returns the result plus the
+/// verdict (no decoded payload differs from the original).
 std::pair<CollectionResult, bool> collect_and_verify(const Predistribution& dist,
                                                      const codes::SourceData<Field>& original,
                                                      Rng& rng);

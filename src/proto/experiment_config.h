@@ -31,10 +31,10 @@ struct ExperimentConfig {
   codes::Scheme scheme = codes::Scheme::kPlc;
   std::vector<std::size_t> level_sizes;       ///< priority spec (required)
   std::vector<double> priority_distribution;  ///< empty = uniform
-  /// Churn model, as a value so trials can shard across threads: every
-  /// trial materializes its own sim::FailureProcess from this shared
-  /// description (wave churn and Poisson lifetimes are the two built-in
-  /// implementations — see sim/failure_process.h).
+  /// Churn model for the cluster simulator (sim/cluster_sim.h), the only
+  /// reader: each of its trials materializes its own sim::FailureProcess
+  /// from this shared description (wave churn and Poisson lifetimes — see
+  /// sim/failure_process.h). The proto experiments apply their own churn.
   sim::FailureModelConfig failure;
 
   /// Materialize the priority spec (throws if level_sizes is empty).

@@ -19,24 +19,18 @@
 
 #include "net/fault_model.h"
 #include "proto/collector.h"
-#include "proto/experiment_config.h"
-#include "proto/persistence_experiment.h"
-#include "proto/predistribution.h"
+#include "proto/experiment_trial.h"
 
 namespace prlc::proto {
 
-struct FaultSweepParams {
-  OverlayKind overlay = OverlayKind::kSensor;
-  std::size_t nodes = 200;
-  std::size_t locations = 0;  ///< 0 = auto: 2x the source-block count
-  bool two_choices = false;
-  /// Monte-Carlo execution: trials, root seed, threads, scheme, spec.
-  ExperimentConfig experiment;
-  ProtocolParams protocol;  ///< scheme field is overwritten from experiment.scheme
+struct FaultSweepParams : DeploymentParams {
   /// Mass-failure fraction applied once, before collection starts.
   double churn_fraction = 0.0;
   /// Base fault profile; each sweep point collects under
-  /// faults.scaled(fault_scales[i]).
+  /// faults.scaled(fault_scales[i]). Loud faults only: bitrot_rate and
+  /// byzantine_fraction must be 0 (with no manifest a silently corrupted
+  /// frame reaches the decoder as wrong bytes — the integrity experiment
+  /// sweeps those).
   net::FaultSpec faults;
   std::vector<double> fault_scales;  ///< ascending, nonnegative
   RetryPolicy retry;

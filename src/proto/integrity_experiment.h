@@ -24,9 +24,7 @@
 
 #include "net/fault_model.h"
 #include "proto/collector.h"
-#include "proto/experiment_config.h"
-#include "proto/persistence_experiment.h"
-#include "proto/predistribution.h"
+#include "proto/experiment_trial.h"
 
 namespace prlc::proto {
 
@@ -36,14 +34,7 @@ struct IntegrityMix {
   double byzantine_fraction = 0.0;  ///< FaultSpec::byzantine_fraction
 };
 
-struct IntegritySweepParams {
-  OverlayKind overlay = OverlayKind::kSensor;
-  std::size_t nodes = 200;
-  std::size_t locations = 0;  ///< 0 = auto: 2x the source-block count
-  bool two_choices = false;
-  /// Monte-Carlo execution: trials, root seed, threads, scheme, spec.
-  ExperimentConfig experiment;
-  ProtocolParams protocol;  ///< scheme field is overwritten from experiment.scheme
+struct IntegritySweepParams : DeploymentParams {
   /// Loud-fault backdrop applied at every point (timeouts, CRC-caught
   /// corruption, ...); the silent knobs inside it are overwritten per
   /// point from `mixes`.
@@ -68,7 +59,8 @@ struct IntegrityPoint {
   /// frame slipped past the fingerprint.
   double detection_ratio = 1.0;
   /// Fraction of decoded source blocks that differ from the original —
-  /// the zero-wrong-bytes acceptance criterion.
+  /// the zero-wrong-bytes acceptance criterion, from the same byte check
+  /// every experiment trial runs (a nonzero count throws, so this is 0).
   double wrong_decode_fraction = 0;
   double degraded_fraction = 0;
 };

@@ -1,63 +1,20 @@
 #include "proto/persistence_experiment.h"
 
-#include <memory>
-
-#include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
-#include "proto/collector.h"
-#include "net/sensor_network.h"
 #include "sim/failure_process.h"
-#include "runtime/trial_runner.h"
 #include "util/check.h"
 
 namespace prlc::proto {
 
-const char* to_string(OverlayKind kind) {
-  switch (kind) {
-    case OverlayKind::kSensor:
-      return "sensor";
-    case OverlayKind::kChord:
-      return "chord";
-  }
-  PRLC_ASSERT(false, "unknown overlay kind");
-}
-
-std::unique_ptr<net::Overlay> make_overlay(OverlayKind kind, std::size_t nodes,
-                                           std::size_t locations, bool two_choices,
-                                           std::uint64_t seed) {
-  switch (kind) {
-    case OverlayKind::kSensor: {
-      net::SensorParams sp;
-      sp.nodes = nodes;
-      sp.locations = locations;
-      sp.seed = seed;
-      sp.two_choices = two_choices;
-      return std::make_unique<net::SensorNetwork>(sp);
-    }
-    case OverlayKind::kChord: {
-      net::ChordParams cp;
-      cp.nodes = nodes;
-      cp.locations = locations;
-      cp.seed = seed;
-      cp.two_choices = two_choices;
-      return std::make_unique<net::ChordNetwork>(cp);
-    }
-  }
-  PRLC_ASSERT(false, "unknown overlay kind");
-}
-
 namespace {
 
-/// Everything one trial contributes to the sweep, slotted by trial index
-/// so aggregation can happen in trial order after the parallel section.
-struct TrialOutcome {
-  double hops_per_msg = 0;
-  std::vector<double> survivors;  ///< per failure-fraction point
-  std::vector<double> levels;
-  std::vector<double> blocks;
+constexpr PointStat<PersistencePoint> kStats[] = {
+    {&PersistencePoint::mean_surviving_blocks},
+    {&PersistencePoint::mean_decoded_levels, &PersistencePoint::ci95_decoded_levels},
+    {&PersistencePoint::mean_decoded_blocks},
+    {&PersistencePoint::mean_dissemination_hops},
 };
 
 }  // namespace
@@ -70,14 +27,8 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
                  "failure fractions must be ascending");
   }
 
-  const codes::PrioritySpec spec = params.experiment.spec();
-  const codes::PriorityDistribution dist = params.experiment.distribution();
-  const std::size_t locations =
-      params.locations > 0 ? params.locations : 2 * spec.total();
-
-  ProtocolParams proto = params.protocol;
-  proto.scheme = params.experiment.scheme;
-
+  const TrialSetup setup(params);
+  const codes::PrioritySpec& spec = setup.spec;
   const std::size_t points = params.failure_fractions.size();
 
   // Translate the cumulative failure-fraction sweep into a wave schedule
@@ -128,35 +79,24 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
     }
   }
 
-  runtime::TrialRunner runner(params.experiment.threads);
-  const auto outcomes = runner.run(
-      params.experiment.trials, params.experiment.root_seed,
-      [&](std::size_t t, Rng& rng) {
+  return run_trials<PersistencePoint>(
+      params.experiment, kStats, [&](std::size_t t, Rng& rng) {
         trials_run.add();
         obs::ScopedSpan trial_span(
             "trial", "persistence",
             {{"trial", static_cast<double>(t)},
              {"scheme",
               static_cast<double>(static_cast<int>(params.experiment.scheme))}});
-        auto overlay =
-            make_overlay(params.overlay, params.nodes, locations, params.two_choices, rng());
-        Predistribution predist(*overlay, spec, dist, proto);
-        const auto source =
-            codes::SourceData<Field>::random(spec.total(), proto.block_size, rng);
-        const auto stats = predist.disseminate(source, rng);
-
-        TrialOutcome outcome;
-        outcome.hops_per_msg =
-            stats.messages > stats.failed_routes
-                ? static_cast<double>(stats.total_hops) /
-                      static_cast<double>(stats.messages - stats.failed_routes)
+        Deployment d = setup.deploy(rng);
+        const double hops_per_msg =
+            d.stats.messages > d.stats.failed_routes
+                ? static_cast<double>(d.stats.total_hops) /
+                      static_cast<double>(d.stats.messages - d.stats.failed_routes)
                 : 0.0;
-        outcome.survivors.reserve(points);
-        outcome.levels.reserve(points);
-        outcome.blocks.reserve(points);
 
+        std::vector<PersistencePoint> rows(points);
         sim::WaveFailureProcess churn(waves);
-        sim::FailureDriver churn_driver(churn, *overlay);
+        sim::FailureDriver churn_driver(churn, *d.overlay);
         for (std::size_t point = 0; point < points; ++point) {
           // Logical time for telemetry = churn-point index of the sweep.
           obs::set_logical_time(point);
@@ -164,8 +104,8 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
           if (wave_fires[point]) {
             churn_driver.advance_to(static_cast<double>(point), rng);
           }
-          codes::PriorityDecoder<Field> decoder(proto.scheme, spec, proto.block_size);
-          const auto result = collect(predist, decoder, {}, rng).result;
+          FaultyChannel channel(d.predist);
+          const auto result = collect_checked(channel, d.source, {}, rng).outcome.result;
           survivors_gauge.set(static_cast<std::int64_t>(result.surviving_locations));
           survivors_hist.record(result.surviving_locations);
           if (obs::trace_enabled()) {
@@ -184,8 +124,8 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
             // margin = cumulative survivors - prefix size. Negative margin
             // at point t is the telemetry signature of losing level l.
             std::vector<std::size_t> per_level(spec.levels(), 0);
-            for (const net::LocationId loc : predist.surviving_locations()) {
-              ++per_level[predist.level_of_location(loc)];
+            for (const net::LocationId loc : d.predist.surviving_locations()) {
+              ++per_level[d.predist.level_of_location(loc)];
             }
             std::size_t cumulative = 0;
             for (std::size_t l = 0; l < spec.levels(); ++l) {
@@ -195,38 +135,15 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
                                             static_cast<double>(spec.level_end(l)));
             }
           }
-          outcome.survivors.push_back(static_cast<double>(result.surviving_locations));
-          outcome.levels.push_back(static_cast<double>(result.decoded_levels));
-          outcome.blocks.push_back(static_cast<double>(result.decoded_blocks));
+          PersistencePoint& row = rows[point];
+          row.failure_fraction = f;
+          row.mean_surviving_blocks = static_cast<double>(result.surviving_locations);
+          row.mean_decoded_levels = static_cast<double>(result.decoded_levels);
+          row.mean_decoded_blocks = static_cast<double>(result.decoded_blocks);
+          row.mean_dissemination_hops = hops_per_msg;
         }
-        return outcome;
+        return rows;
       });
-
-  // Ordered merge: accumulate in trial order so the floating-point sums
-  // are identical regardless of how many threads ran the trials.
-  std::vector<RunningStats> surviving(points);
-  std::vector<RunningStats> levels(points);
-  std::vector<RunningStats> blocks(points);
-  std::vector<RunningStats> hops(points);
-  for (const TrialOutcome& outcome : outcomes) {
-    for (std::size_t point = 0; point < points; ++point) {
-      surviving[point].add(outcome.survivors[point]);
-      levels[point].add(outcome.levels[point]);
-      blocks[point].add(outcome.blocks[point]);
-      hops[point].add(outcome.hops_per_msg);
-    }
-  }
-
-  std::vector<PersistencePoint> out(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    out[i].failure_fraction = params.failure_fractions[i];
-    out[i].mean_surviving_blocks = surviving[i].mean();
-    out[i].mean_decoded_levels = levels[i].mean();
-    out[i].ci95_decoded_levels = levels[i].ci95_halfwidth();
-    out[i].mean_decoded_blocks = blocks[i].mean();
-    out[i].mean_dissemination_hops = hops[i].mean();
-  }
-  return out;
 }
 
 }  // namespace prlc::proto

@@ -9,35 +9,14 @@
 // the abl_persistence_e2e bench.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "proto/experiment_config.h"
-#include "proto/predistribution.h"
-#include "util/stats.h"
+#include "proto/experiment_trial.h"
 
 namespace prlc::proto {
 
-enum class OverlayKind { kSensor, kChord };
-
-const char* to_string(OverlayKind kind);
-
-/// The overlay one experiment trial deploys: `nodes` nodes serving
-/// `locations` storage locations, built from `seed`. Shared by the
-/// persistence, fault and integrity experiments.
-std::unique_ptr<net::Overlay> make_overlay(OverlayKind kind, std::size_t nodes,
-                                           std::size_t locations, bool two_choices,
-                                           std::uint64_t seed);
-
-struct PersistenceParams {
-  OverlayKind overlay = OverlayKind::kSensor;
-  std::size_t nodes = 300;
-  std::size_t locations = 0;  ///< 0 = auto: 2x the source-block count
-  bool two_choices = false;
-  /// Monte-Carlo execution: trials, root seed, threads, scheme, spec.
-  ExperimentConfig experiment;
-  ProtocolParams protocol;  ///< scheme field is overwritten from experiment.scheme
+struct PersistenceParams : DeploymentParams {
+  PersistenceParams() { nodes = 300; }
   std::vector<double> failure_fractions;  ///< ascending sweep
 };
 

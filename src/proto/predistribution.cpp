@@ -56,18 +56,6 @@ Predistribution::Predistribution(net::Overlay& overlay, codes::PrioritySpec spec
   storage_.assign(overlay_.locations(), std::nullopt);
 }
 
-std::pair<std::size_t, std::size_t> Predistribution::support_of_level(std::size_t level) const {
-  switch (params_.scheme) {
-    case codes::Scheme::kRlc:
-      return {0, spec_.total()};
-    case codes::Scheme::kSlc:
-      return {spec_.level_begin(level), spec_.level_end(level)};
-    case codes::Scheme::kPlc:
-      return {0, spec_.level_end(level)};
-  }
-  PRLC_ASSERT(false, "unknown scheme");
-}
-
 std::size_t Predistribution::level_of_location(net::LocationId loc) const {
   PRLC_REQUIRE(loc < location_level_.size(), "location id out of range");
   return location_level_[loc];
@@ -134,7 +122,7 @@ DisseminationStats Predistribution::disseminate(const codes::SourceData<Field>& 
   for (net::LocationId loc = 0; loc < storage_.size(); ++loc) {
     if (!host[loc].has_value()) continue;  // dropped by capacity overflow
     const std::size_t level = location_level_[loc];
-    const auto [begin, end] = support_of_level(level);
+    const auto [begin, end] = codes::support(params_.scheme, spec_, level);
     const std::size_t width = end - begin;
     PRLC_ASSERT(width > 0, "empty support for a location");
 

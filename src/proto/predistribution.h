@@ -108,10 +108,6 @@ class Predistribution {
   net::Overlay& overlay() const { return overlay_; }
 
  private:
-  /// Support set [begin, end) of source-block indices for a coded block
-  /// in partition level k (scheme-dependent).
-  std::pair<std::size_t, std::size_t> support_of_level(std::size_t level) const;
-
   net::Overlay& overlay_;
   codes::PrioritySpec spec_;
   codes::PriorityDistribution dist_;

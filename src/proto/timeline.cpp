@@ -68,14 +68,7 @@ void TimelineStore::fill_location(net::LocationId loc, const codes::SourceData<F
   Slot& slot = slots_[loc];
   const std::size_t level = slot.level;
 
-  std::size_t begin = 0;
-  std::size_t end = spec_.total();
-  if (params_.scheme == codes::Scheme::kSlc) {
-    begin = spec_.level_begin(level);
-    end = spec_.level_end(level);
-  } else if (params_.scheme == codes::Scheme::kPlc) {
-    end = spec_.level_end(level);
-  }
+  const auto [begin, end] = codes::support(params_.scheme, spec_, level);
 
   StoredBlock entry;
   entry.block.level = level;

@@ -192,26 +192,33 @@ TEST(Gf256Kernels, ForceActiveKernelRedirectsGf256SpanOps) {
 
 TEST(Gf256Kernels, AxpyBatchMatchesPerRowAxpy) {
   Rng rng(105);
-  const std::size_t n = 10000;  // > one 8 KiB tile, so tiling is exercised
   const std::size_t rows = 17;
-  const auto x = random_bytes(n, rng);
-  std::vector<std::vector<std::uint8_t>> targets;
-  std::vector<std::uint8_t> coeffs;
-  for (std::size_t r = 0; r < rows; ++r) {
-    targets.push_back(random_bytes(n, rng));
-    coeffs.push_back(static_cast<std::uint8_t>(r % 5 == 0 ? 0 : rng.uniform(256)));
+  // One tile minus/at/plus one byte, a ragged third tile and the original
+  // 10000-byte case, so every tile edge of axpy_batch is exercised.
+  for (const std::size_t n :
+       {std::size_t{10000}, kGf256TileBytes - 1, kGf256TileBytes, kGf256TileBytes + 1,
+        3 * kGf256TileBytes + 5}) {
+    const auto x = random_bytes(n, rng);
+    std::vector<std::vector<std::uint8_t>> targets;
+    std::vector<std::uint8_t> coeffs;
+    for (std::size_t r = 0; r < rows; ++r) {
+      targets.push_back(random_bytes(n, rng));
+      coeffs.push_back(static_cast<std::uint8_t>(r % 5 == 0 ? 0 : rng.uniform(256)));
+    }
+    auto expect = targets;
+    for (std::size_t r = 0; r < rows; ++r) {
+      Gf256::axpy(std::span<std::uint8_t>(expect[r]), coeffs[r],
+                  std::span<const std::uint8_t>(x));
+    }
+    std::vector<std::uint8_t*> ptrs;
+    for (auto& t : targets) ptrs.push_back(t.data());
+    Gf256::axpy_batch(std::span<std::uint8_t* const>(ptrs),
+                      std::span<const std::uint8_t>(coeffs),
+                      std::span<const std::uint8_t>(x));
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(targets[r], expect[r]) << "n " << n << " row " << r;
+    }
   }
-  auto expect = targets;
-  for (std::size_t r = 0; r < rows; ++r) {
-    Gf256::axpy(std::span<std::uint8_t>(expect[r]), coeffs[r],
-                std::span<const std::uint8_t>(x));
-  }
-  std::vector<std::uint8_t*> ptrs;
-  for (auto& t : targets) ptrs.push_back(t.data());
-  Gf256::axpy_batch(std::span<std::uint8_t* const>(ptrs),
-                    std::span<const std::uint8_t>(coeffs),
-                    std::span<const std::uint8_t>(x));
-  for (std::size_t r = 0; r < rows; ++r) EXPECT_EQ(targets[r], expect[r]) << "row " << r;
 }
 
 TEST(Gf256Kernels, LincombRoutesThroughTheActiveKernel) {

@@ -5,6 +5,7 @@
 #include "net/chord_network.h"
 #include "net/churn.h"
 #include "obs/metrics.h"
+#include "proto/experiment_trial.h"
 #include "util/check.h"
 #include "util/gf64_fingerprint.h"
 
@@ -122,6 +123,62 @@ TEST(Collector, SlcSchemeEndToEnd) {
   const auto [result, verified] = collect_and_verify(pd, source, s.rng);
   EXPECT_EQ(result.decoded_levels, 3u);
   EXPECT_TRUE(verified);
+}
+
+TEST(Collector, ByteCheckCountsExactlyTheWrongDecodedBlocks) {
+  TestHarness s;
+  Predistribution pd(s.overlay, s.spec, s.dist, s.params);
+  const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
+  pd.disseminate(source, s.rng);
+  // Stop at the first level so some source blocks stay undecoded.
+  codes::PriorityDecoder<Field> decoder(s.params.scheme, s.spec, s.params.block_size);
+  CollectorOptions opt;
+  opt.target_levels = 1;
+  collect(pd, decoder, opt, s.rng);
+
+  const ByteCheck clean = check_decoded_bytes(decoder, source);
+  std::size_t decoded = 0;
+  for (std::size_t j = 0; j < s.spec.total(); ++j) decoded += decoder.is_block_decoded(j);
+  EXPECT_EQ(clean.wrong_blocks, 0u);
+  EXPECT_EQ(clean.decoded_blocks, decoded);
+  ASSERT_GT(decoded, 1u);
+  ASSERT_LT(decoded, s.spec.total());
+
+  // Flip one byte in the source copy of every other decoded block and of
+  // every undecoded block: only the decoded flips may count.
+  auto tampered = source;
+  std::size_t flipped_decoded = 0;
+  bool flip = true;
+  for (std::size_t j = 0; j < s.spec.total(); ++j) {
+    if (!decoder.is_block_decoded(j)) {
+      tampered.block(j)[j % 6] ^= 0x5A;
+      continue;
+    }
+    if (flip) {
+      tampered.block(j)[j % 6] ^= 0x01;
+      ++flipped_decoded;
+    }
+    flip = !flip;
+  }
+  const ByteCheck check = check_decoded_bytes(decoder, tampered);
+  EXPECT_EQ(check.decoded_blocks, decoded);
+  EXPECT_EQ(check.wrong_blocks, flipped_decoded);
+}
+
+TEST(Collector, CheckedCollectionThrowsOnWrongDecodedBytes) {
+  TestHarness s;
+  Predistribution pd(s.overlay, s.spec, s.dist, s.params);
+  const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
+  pd.disseminate(source, s.rng);
+  FaultyChannel channel(pd);
+  const CheckedCollection c = collect_checked(channel, source, {}, s.rng);
+  EXPECT_EQ(c.bytes.wrong_blocks, 0u);
+  EXPECT_EQ(c.bytes.decoded_blocks, c.outcome.result.decoded_blocks);
+  // The same collection checked against a source that differs in one byte
+  // of block 0 (always decoded here) is an invariant violation.
+  auto tampered = source;
+  tampered.block(0)[0] ^= 0x80;
+  EXPECT_THROW(collect_checked(channel, tampered, {}, s.rng), InvariantError);
 }
 
 TEST(Collector, OptionsValidated) {
@@ -372,15 +429,10 @@ TEST(ResilientCollector, WireRejectedBlockRetriesAgainstADifferentNode) {
 
 // --- integrity: fingerprint manifest against silent corruption -----------
 
-/// Flatten the harness's source data and fingerprint it.
+/// Fingerprint the harness's source data.
 util::FingerprintManifest make_manifest(const FaultHarness& h,
                                         std::uint64_t seed = 4242) {
-  std::vector<std::uint8_t> flat;
-  for (std::size_t j = 0; j < h.spec.total(); ++j) {
-    const auto row = h.source.block(j);
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  return util::build_manifest(seed, flat, h.params.block_size);
+  return util::build_manifest(seed, h.source.data(), h.params.block_size);
 }
 
 TEST(IntegrityCollector, CleanChannelWithManifestHasZeroViolations) {
@@ -540,12 +592,7 @@ TEST(IntegrityCollector, SlcFramesOutsideTheDecodersLevelsAreWireErrors) {
   Predistribution pd(h.overlay, h.spec, h.dist, h.params);
   const auto source = codes::SourceData<Field>::random(h.spec.total(), 6, h.rng);
   pd.disseminate(source, h.rng);
-  std::vector<std::uint8_t> flat;
-  for (std::size_t j = 0; j < h.spec.total(); ++j) {
-    const auto row = source.block(j);
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  const auto manifest = util::build_manifest(77, flat, h.params.block_size);
+  const auto manifest = util::build_manifest(77, source.data(), h.params.block_size);
   const PrioritySpec decoder_spec(std::vector<std::size_t>{6, 6});
   codes::PriorityDecoder<Field> decoder(Scheme::kSlc, decoder_spec, h.params.block_size);
   CollectorOptions options;

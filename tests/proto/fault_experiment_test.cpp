@@ -108,6 +108,13 @@ TEST(FaultExperiment, ParamsValidated) {
   p = small_params();
   p.experiment.trials = 0;
   EXPECT_THROW(run_fault_experiment(p), PreconditionError);
+  // Silent faults need a manifest; they belong to the integrity experiment.
+  p = small_params();
+  p.faults.bitrot_rate = 0.1;
+  EXPECT_THROW(run_fault_experiment(p), PreconditionError);
+  p = small_params();
+  p.faults.byzantine_fraction = 0.1;
+  EXPECT_THROW(run_fault_experiment(p), PreconditionError);
 }
 
 }  // namespace

@@ -91,12 +91,16 @@ PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_fault" \
 PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_cluster_lifetime" \
   --threads 8 \
   --json "${tsan_build_dir}/cluster.json" > /dev/null
-# Integrity path under TSan: fingerprint verification + quarantine inside
-# the sharded collector trials, and the scrubber/rot event machinery in
-# the cluster simulator, both at 8 worker threads. The parallel-vs-serial
-# in-process gates run under ASan/UBSan in the full phase above.
+# The four experiments share one trial skeleton (proto/experiment_trial.h):
+# deploy, collect, byte-check and the trial-ordered merge run on the
+# TrialRunner's workers. Their thread-count gates run serial and 8-thread
+# sweeps in one process — persistence churn, the fault channel's
+# retry/hedge paths, fingerprint verification + quarantine, and refresh
+# rounds — so TSan vets every experiment's trial body. The scrubber/rot
+# event machinery of the cluster simulator runs at 8 worker threads too.
 "${tsan_build_dir}/tests/test_proto" \
-  --gtest_filter='IntegrityExperiment.ThreadCountNeverChangesResults' > /dev/null
+  --gtest_filter='Persistence.ThreadCountDoesNotChangeResults:FaultExperiment.ThreadCountNeverChangesResults:RefreshExperiment.ThreadCountDoesNotChangeResults:IntegrityExperiment.ThreadCountNeverChangesResults' \
+  > /dev/null
 "${tsan_build_dir}/tests/test_sim" \
   --gtest_filter='ClusterSim.RotTrialsReplayBitIdenticallyAtAnyThreadCount' > /dev/null
 PRLC_BENCH_FAST=1 "${tsan_build_dir}/bench/abl_integrity" \
