@@ -24,7 +24,6 @@
 #include "codes/replication.h"
 #include "gf/gf256.h"
 #include "runtime/trial_runner.h"
-#include "util/stats.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -32,18 +31,18 @@ namespace {
 using namespace prlc;
 using F = gf::Gf256;
 
-struct Series {
-  std::vector<RunningStats> total;      // recovered source blocks
-  std::vector<RunningStats> level1_ok;  // critical level complete (0/1)
-};
-
 enum { kPlcIdx, kRlcIdx, kReplIdx, kGrowthIdx, kSchemes };
 
-/// Per-trial checkpoint samples for all four codecs, slotted by
-/// (codec, checkpoint) so trials merge in trial order.
-struct TrialOutcome {
-  std::vector<std::vector<double>> total;      // [codec][checkpoint]
-  std::vector<std::vector<double>> level1_ok;  // [codec][checkpoint]
+/// One (codec, checkpoint) row; a trial's row holds that trial's samples,
+/// the merged row their means over trials.
+struct CodecPoint {
+  double recovered_blocks = 0;  ///< source blocks recovered
+  double level1_complete = 0;   ///< critical level complete (0/1 per trial)
+};
+
+constexpr runtime::PointStat<CodecPoint> kStats[] = {
+    {&CodecPoint::recovered_blocks},
+    {&CodecPoint::level1_complete},
 };
 
 }  // namespace
@@ -64,16 +63,15 @@ int main(int argc, char** argv) {
   const codes::ReplicationEncoder<F> repl_enc(spec);
   const codes::GrowthEncoder growth_enc(spec.total());
 
-  runtime::TrialRunner runner(bench::options().threads);
-  const auto outcomes = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
+  // Rows are [codec * checkpoints + checkpoint].
+  const std::size_t points = checkpoints.size();
+  auto trial = [&](std::size_t, Rng& rng) {
     codes::PriorityDecoder<F> plc_dec(codes::Scheme::kPlc, spec);
     codes::PriorityDecoder<F> rlc_dec(codes::Scheme::kRlc, spec);
     codes::ReplicationCollector<F> repl_col(spec);
     codes::PeelingDecoder growth_dec(spec.total());
 
-    TrialOutcome outcome;
-    outcome.total.assign(kSchemes, std::vector<double>(checkpoints.size(), 0.0));
-    outcome.level1_ok.assign(kSchemes, std::vector<double>(checkpoints.size(), 0.0));
+    std::vector<CodecPoint> out(kSchemes * points);
     std::size_t next = 0;
     for (std::size_t m = 1; m <= checkpoints.back(); ++m) {
       plc_dec.add(plc_enc.encode_random(dist, rng));
@@ -87,61 +85,48 @@ int main(int argc, char** argv) {
           }
           return 1.0;
         };
-        outcome.total[kPlcIdx][next] = static_cast<double>(plc_dec.decoded_prefix_blocks());
-        outcome.level1_ok[kPlcIdx][next] = plc_dec.is_level_decoded(0) ? 1.0 : 0.0;
-        outcome.total[kRlcIdx][next] = static_cast<double>(rlc_dec.decoded_prefix_blocks());
-        outcome.level1_ok[kRlcIdx][next] = rlc_dec.is_level_decoded(0) ? 1.0 : 0.0;
-        outcome.total[kReplIdx][next] = static_cast<double>(repl_col.distinct_blocks());
-        outcome.level1_ok[kReplIdx][next] =
-            level1_complete(50, [&](std::size_t j) { return repl_col.is_block_decoded(j); });
-        outcome.total[kGrowthIdx][next] = static_cast<double>(growth_dec.decoded_count());
-        outcome.level1_ok[kGrowthIdx][next] =
-            level1_complete(50, [&](std::size_t j) { return growth_dec.is_decoded(j); });
+        out[kPlcIdx * points + next] = {static_cast<double>(plc_dec.decoded_prefix_blocks()),
+                                        plc_dec.is_level_decoded(0) ? 1.0 : 0.0};
+        out[kRlcIdx * points + next] = {static_cast<double>(rlc_dec.decoded_prefix_blocks()),
+                                        rlc_dec.is_level_decoded(0) ? 1.0 : 0.0};
+        out[kReplIdx * points + next] = {
+            static_cast<double>(repl_col.distinct_blocks()),
+            level1_complete(50, [&](std::size_t j) { return repl_col.is_block_decoded(j); })};
+        out[kGrowthIdx * points + next] = {
+            static_cast<double>(growth_dec.decoded_count()),
+            level1_complete(50, [&](std::size_t j) { return growth_dec.is_decoded(j); })};
         ++next;
       }
     }
-    return outcome;
-  });
-
-  std::vector<Series> series(kSchemes);
-  for (auto& s : series) {
-    s.total.resize(checkpoints.size());
-    s.level1_ok.resize(checkpoints.size());
-  }
-  for (const TrialOutcome& outcome : outcomes) {
-    for (std::size_t s = 0; s < kSchemes; ++s) {
-      for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-        series[s].total[i].add(outcome.total[s][i]);
-        series[s].level1_ok[i].add(outcome.level1_ok[s][i]);
-      }
-    }
-  }
+    return out;
+  };
+  runtime::TrialRunner runner(bench::options().threads);
+  const auto rows = runner.run_merged<CodecPoint>(trials, seed, kStats, trial);
+  auto at = [&](std::size_t codec, std::size_t i) -> const CodecPoint& {
+    return rows[codec * points + i];
+  };
 
   bench::BenchReport report("abl_baselines");
   report.set_config("trials", trials);
   report.set_config("seed", static_cast<double>(seed));
   const char* codec_names[] = {"plc", "rlc", "replication", "growth"};
   for (std::size_t s = 0; s < kSchemes; ++s) {
-    for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-      report.add_point(codec_names[s],
-                       {{"symbols", static_cast<double>(checkpoints[i])},
-                        {"recovered_blocks", series[s].total[i].mean()},
-                        {"level1_complete", series[s].level1_ok[i].mean()}});
+    for (std::size_t i = 0; i < points; ++i) {
+      report.add_point(codec_names[s], {{"symbols", static_cast<double>(checkpoints[i])},
+                                        {"recovered_blocks", at(s, i).recovered_blocks},
+                                        {"level1_complete", at(s, i).level1_complete}});
     }
   }
 
   TablePrinter table({"symbols", "PLC blocks", "PLC lvl1", "RLC blocks", "RLC lvl1",
                       "repl blocks", "repl lvl1", "growth blocks", "growth lvl1"});
-  for (std::size_t i = 0; i < checkpoints.size(); ++i) {
-    table.add_row({std::to_string(checkpoints[i]),
-                   fmt_double(series[kPlcIdx].total[i].mean(), 0),
-                   fmt_double(series[kPlcIdx].level1_ok[i].mean(), 2),
-                   fmt_double(series[kRlcIdx].total[i].mean(), 0),
-                   fmt_double(series[kRlcIdx].level1_ok[i].mean(), 2),
-                   fmt_double(series[kReplIdx].total[i].mean(), 0),
-                   fmt_double(series[kReplIdx].level1_ok[i].mean(), 2),
-                   fmt_double(series[kGrowthIdx].total[i].mean(), 0),
-                   fmt_double(series[kGrowthIdx].level1_ok[i].mean(), 2)});
+  for (std::size_t i = 0; i < points; ++i) {
+    std::vector<std::string> row = {std::to_string(checkpoints[i])};
+    for (std::size_t s = 0; s < kSchemes; ++s) {
+      row.push_back(fmt_double(at(s, i).recovered_blocks, 0));
+      row.push_back(fmt_double(at(s, i).level1_complete, 2));
+    }
+    table.add_row(row);
   }
   table.emit("abl_baselines");
   std::cout << "\n'lvl1' columns are the fraction of trials with the critical level\n"

@@ -10,23 +10,29 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "codes/decoder.h"
-#include "net/chord_network.h"
-#include "proto/collector.h"
-#include "proto/predistribution.h"
+#include "proto/experiment_trial.h"
 #include "runtime/trial_runner.h"
-#include "util/stats.h"
 #include "util/table_printer.h"
 
 namespace {
 
 using namespace prlc;
 
-struct TrialOutcome {
+/// One capacity's outcome; a trial's row holds its samples, the merged
+/// row their means over trials.
+struct CapacityPoint {
   double max_load = 0;
+  double ci95_max_load = 0;
   double spills = 0;
   double overflows = 0;
   double levels = 0;
+};
+
+constexpr runtime::PointStat<CapacityPoint> kStats[] = {
+    {&CapacityPoint::max_load, &CapacityPoint::ci95_max_load},
+    {&CapacityPoint::spills},
+    {&CapacityPoint::overflows},
+    {&CapacityPoint::levels},
 };
 
 }  // namespace
@@ -37,8 +43,13 @@ int main(int argc, char** argv) {
                 "W = 200 nodes, M = 800 locations, N = 200 source blocks.");
   const std::size_t trials = bench::options().trials_or(10, 3);
   const std::uint64_t seed = bench::options().seed_or(0xCA9);
-  const auto spec = codes::PrioritySpec({40, 60, 100});
-  const auto dist = codes::PriorityDistribution::uniform(3);
+  proto::DeploymentParams deployment;
+  deployment.overlay = proto::OverlayKind::kChord;
+  deployment.nodes = 200;
+  deployment.locations = 800;
+  deployment.experiment.level_sizes = {40, 60, 100};  // uniform distribution
+  deployment.protocol.block_size = 8;
+  deployment.protocol.sparse = true;  // keep dissemination cost sane
 
   runtime::TrialRunner runner(bench::options().threads);
   bench::BenchReport report("abl_capacity");
@@ -48,49 +59,29 @@ int main(int argc, char** argv) {
   TablePrinter table({"capacity d", "max load (95% CI)", "spills", "overflows",
                       "decoded levels", "W*d / M"});
   for (std::size_t d : {4u, 6u, 8u, 16u, 64u, 0u}) {
+    deployment.protocol.node_capacity = d;
+    const proto::TrialSetup setup(deployment);
     // Each capacity gets its own decorrelated stream (offset by d).
-    const auto outcomes = runner.run(trials, seed + d, [&](std::size_t, Rng& rng) {
-      net::ChordParams np;
-      np.nodes = 200;
-      np.locations = 800;
-      np.seed = rng();
-      net::ChordNetwork overlay(np);
-      proto::ProtocolParams params;
-      params.block_size = 8;
-      params.node_capacity = d;
-      params.sparse = true;  // keep dissemination cost sane
-      proto::Predistribution pd(overlay, spec, dist, params);
-      const auto source =
-          codes::SourceData<proto::Field>::random(spec.total(), params.block_size, rng);
-      const auto stats = pd.disseminate(source, rng);
-      TrialOutcome outcome;
-      outcome.max_load = static_cast<double>(stats.max_node_load);
-      outcome.spills = static_cast<double>(stats.capacity_spills);
-      outcome.overflows = static_cast<double>(stats.capacity_overflows);
-      codes::PriorityDecoder<proto::Field> dec(params.scheme, spec, params.block_size);
-      outcome.levels = static_cast<double>(collect(pd, dec, {}, rng).result.decoded_levels);
-      return outcome;
-    });
-
-    RunningStats max_load;
-    RunningStats spills;
-    RunningStats overflows;
-    RunningStats levels;
-    for (const TrialOutcome& outcome : outcomes) {
-      max_load.add(outcome.max_load);
-      spills.add(outcome.spills);
-      overflows.add(outcome.overflows);
-      levels.add(outcome.levels);
-    }
+    const CapacityPoint c = runner.run_merged<CapacityPoint>(
+        trials, seed + d, kStats, [&](std::size_t, Rng& rng) {
+          proto::Deployment dep = setup.deploy(rng);
+          proto::FaultyChannel channel(dep.predist);
+          const auto result = proto::collect_checked(channel, dep.source, {}, rng).outcome.result;
+          CapacityPoint row;
+          row.max_load = static_cast<double>(dep.stats.max_node_load);
+          row.spills = static_cast<double>(dep.stats.capacity_spills);
+          row.overflows = static_cast<double>(dep.stats.capacity_overflows);
+          row.levels = static_cast<double>(result.decoded_levels);
+          return std::vector<CapacityPoint>{row};
+        }).front();
     report.add_point("capacity", {{"d", static_cast<double>(d)},
-                                  {"max_load", max_load.mean()},
-                                  {"spills", spills.mean()},
-                                  {"overflows", overflows.mean()},
-                                  {"decoded_levels", levels.mean()}});
+                                  {"max_load", c.max_load},
+                                  {"spills", c.spills},
+                                  {"overflows", c.overflows},
+                                  {"decoded_levels", c.levels}});
     table.add_row({d == 0 ? "unlimited" : std::to_string(d),
-                   fmt_mean_ci(max_load.mean(), max_load.ci95_halfwidth(), 1),
-                   fmt_double(spills.mean(), 0), fmt_double(overflows.mean(), 0),
-                   fmt_double(levels.mean(), 2),
+                   fmt_mean_ci(c.max_load, c.ci95_max_load, 1), fmt_double(c.spills, 0),
+                   fmt_double(c.overflows, 0), fmt_double(c.levels, 2),
                    d == 0 ? "-" : fmt_double(static_cast<double>(200 * d) / 800.0, 2)});
   }
   table.emit("abl_capacity");

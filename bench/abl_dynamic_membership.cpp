@@ -12,13 +12,10 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "codes/decoder.h"
-#include "net/chord_network.h"
 #include "net/churn.h"
-#include "proto/collector.h"
+#include "proto/experiment_trial.h"
 #include "proto/refresh.h"
 #include "runtime/trial_runner.h"
-#include "util/stats.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -28,48 +25,39 @@ using namespace prlc;
 constexpr std::size_t kNodes = 400;
 constexpr std::size_t kEpochs = 20;
 
-/// Fixed-size per-trial epoch series (zeros past network death) so trials
-/// merge slot-by-slot in trial order.
-struct TrialOutcome {
-  std::vector<double> levels;
-  std::vector<double> repair_msgs;
-  std::vector<double> alive_frac;
+/// One epoch of one arm; a trial's row holds its samples (zeros past
+/// network death), the merged row their means over trials.
+struct EpochPoint {
+  double alive_frac = 0;
+  double levels = 0;
+  double ci95_levels = 0;
+  double repair_msgs = 0;
 };
 
-TrialOutcome run_trial(bool use_refresh, const codes::PrioritySpec& spec,
-                       const codes::PriorityDistribution& dist, Rng& rng) {
-  net::ChordParams np;
-  np.nodes = kNodes;
-  np.locations = 240;
-  np.seed = rng();
-  net::ChordNetwork overlay(np);
-  proto::ProtocolParams params;
-  params.scheme = codes::Scheme::kPlc;
-  params.block_size = 8;
-  proto::Predistribution pd(overlay, spec, dist, params);
-  const auto source =
-      codes::SourceData<proto::Field>::random(spec.total(), params.block_size, rng);
-  pd.disseminate(source, rng);
+constexpr runtime::PointStat<EpochPoint> kStats[] = {
+    {&EpochPoint::alive_frac},
+    {&EpochPoint::levels, &EpochPoint::ci95_levels},
+    {&EpochPoint::repair_msgs},
+};
 
-  TrialOutcome outcome;
-  outcome.levels.assign(kEpochs, 0.0);
-  outcome.repair_msgs.assign(kEpochs, 0.0);
-  outcome.alive_frac.assign(kEpochs, 0.0);
+std::vector<EpochPoint> run_trial(bool use_refresh, const proto::TrialSetup& setup, Rng& rng) {
+  proto::Deployment d = setup.deploy(rng);
+  std::vector<EpochPoint> rows(kEpochs);
   for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-    net::apply_session_churn(overlay, 0.15, 0.30, rng);
-    if (overlay.alive_count() == 0) break;
+    net::apply_session_churn(*d.overlay, 0.15, 0.30, rng);
+    if (d.overlay->alive_count() == 0) break;
     std::size_t messages = 0;
     if (use_refresh) {
-      messages = refresh(pd, overlay.random_alive_node(rng), rng).messages;
+      messages = refresh(d.predist, d.overlay->random_alive_node(rng), rng).messages;
     }
-    codes::PriorityDecoder<proto::Field> dec(params.scheme, spec, params.block_size);
-    const auto result = collect(pd, dec, {}, rng).result;
-    outcome.levels[epoch] = static_cast<double>(result.decoded_levels);
-    outcome.repair_msgs[epoch] = static_cast<double>(messages);
-    outcome.alive_frac[epoch] =
-        static_cast<double>(overlay.alive_count()) / static_cast<double>(kNodes);
+    proto::FaultyChannel channel(d.predist);
+    const auto result = proto::collect_checked(channel, d.source, {}, rng).outcome.result;
+    rows[epoch].alive_frac =
+        static_cast<double>(d.overlay->alive_count()) / static_cast<double>(kNodes);
+    rows[epoch].levels = static_cast<double>(result.decoded_levels);
+    rows[epoch].repair_msgs = static_cast<double>(messages);
   }
-  return outcome;
+  return rows;
 }
 
 }  // namespace
@@ -80,52 +68,41 @@ int main(int argc, char** argv) {
                 "15% leave / 30% rejoin per epoch; refresh on/off.");
   const std::size_t trials = bench::options().trials_or(12, 3);
   const std::uint64_t seed = bench::options().seed_or(0xD1A51C);
-  const auto spec = codes::PrioritySpec({20, 40, 60});  // N = 120
-  const auto dist = codes::PriorityDistribution::uniform(3);
+  proto::DeploymentParams deployment;
+  deployment.overlay = proto::OverlayKind::kChord;
+  deployment.nodes = kNodes;
+  deployment.locations = 240;
+  deployment.experiment.level_sizes = {20, 40, 60};  // N = 120, uniform distribution
+  deployment.protocol.block_size = 8;
+  const proto::TrialSetup setup(deployment);
 
   // Same root seed for both arms: trial i sees the identical ring and
   // churn schedule with and without maintenance.
   runtime::TrialRunner runner(bench::options().threads);
-  const auto with = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
-    return run_trial(true, spec, dist, rng);
-  });
-  const auto without = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
-    return run_trial(false, spec, dist, rng);
-  });
-
-  std::vector<RunningStats> alive_frac(kEpochs);
-  std::vector<RunningStats> levels_with(kEpochs);
-  std::vector<RunningStats> levels_without(kEpochs);
-  std::vector<RunningStats> repair_msgs(kEpochs);
-  for (std::size_t t = 0; t < trials; ++t) {
-    for (std::size_t e = 0; e < kEpochs; ++e) {
-      alive_frac[e].add(with[t].alive_frac[e]);
-      levels_with[e].add(with[t].levels[e]);
-      repair_msgs[e].add(with[t].repair_msgs[e]);
-      levels_without[e].add(without[t].levels[e]);
-    }
-  }
+  const auto with = runner.run_merged<EpochPoint>(
+      trials, seed, kStats, [&](std::size_t, Rng& rng) { return run_trial(true, setup, rng); });
+  const auto without = runner.run_merged<EpochPoint>(
+      trials, seed, kStats, [&](std::size_t, Rng& rng) { return run_trial(false, setup, rng); });
 
   bench::BenchReport report("abl_dynamic_membership");
   report.set_config("trials", trials);
   report.set_config("seed", static_cast<double>(seed));
   for (std::size_t e = 0; e < kEpochs; ++e) {
     report.add_point("with_refresh", {{"epoch", static_cast<double>(e + 1)},
-                                      {"alive_frac", alive_frac[e].mean()},
-                                      {"decoded_levels", levels_with[e].mean()},
-                                      {"repair_messages", repair_msgs[e].mean()}});
+                                      {"alive_frac", with[e].alive_frac},
+                                      {"decoded_levels", with[e].levels},
+                                      {"repair_messages", with[e].repair_msgs}});
     report.add_point("without_refresh", {{"epoch", static_cast<double>(e + 1)},
-                                         {"decoded_levels", levels_without[e].mean()}});
+                                         {"decoded_levels", without[e].levels}});
   }
 
   TablePrinter table({"epoch", "alive frac", "levels w/ refresh", "repairs/epoch",
                       "levels w/o refresh"});
   for (std::size_t e = 0; e < kEpochs; e += 2) {
-    table.add_row({std::to_string(e + 1), fmt_double(alive_frac[e].mean(), 2),
-                   fmt_mean_ci(levels_with[e].mean(), levels_with[e].ci95_halfwidth(), 2),
-                   fmt_double(repair_msgs[e].mean(), 0),
-                   fmt_mean_ci(levels_without[e].mean(), levels_without[e].ci95_halfwidth(),
-                               2)});
+    table.add_row({std::to_string(e + 1), fmt_double(with[e].alive_frac, 2),
+                   fmt_mean_ci(with[e].levels, with[e].ci95_levels, 2),
+                   fmt_double(with[e].repair_msgs, 0),
+                   fmt_mean_ci(without[e].levels, without[e].ci95_levels, 2)});
   }
   table.emit("abl_dynamic_membership");
   std::cout << "\nExpected shape: the population equilibrates at ~2/3 alive, yet the\n"

@@ -20,11 +20,12 @@ namespace {
 using namespace prlc;
 
 template <typename Net, typename Params>
-RunningStats max_load(runtime::TrialRunner& runner, Params params, std::size_t trials,
+RunningStats max_load(runtime::TrialRunner& runner, const Params& params, std::size_t trials,
                       std::uint64_t seed) {
   const auto loads = runner.run(trials, seed, [&](std::size_t, Rng& rng) {
-    params.seed = rng();
-    const Net net(params);
+    Params trial_params = params;  // trials run concurrently: each seeds its own copy
+    trial_params.seed = rng();
+    const Net net(trial_params);
     std::vector<std::size_t> load(net.nodes(), 0);
     for (net::LocationId loc = 0; loc < net.locations(); ++loc) ++load[net.owner_of(loc)];
     std::size_t mx = 0;
@@ -46,6 +47,18 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = bench::options().seed_or(100);
 
   runtime::TrialRunner runner(bench::options().threads);
+  bench::BenchReport report("abl_load_balance");
+  report.set_config("trials", trials);
+  report.set_config("seed", static_cast<double>(seed));
+  auto add_point = [&](const char* overlay, std::size_t w, std::size_t m, const RunningStats& one,
+                       const RunningStats& two) {
+    report.add_point(overlay, {{"nodes", static_cast<double>(w)},
+                               {"locations", static_cast<double>(m)},
+                               {"one_choice_max", one.mean()},
+                               {"one_choice_ci95", one.ci95_halfwidth()},
+                               {"two_choices_max", two.mean()},
+                               {"two_choices_ci95", two.ci95_halfwidth()}});
+  };
   TablePrinter table({"overlay", "nodes W", "locations M", "one choice max (95% CI)",
                       "two choices max (95% CI)", "ln M", "ln ln M / ln 2"});
   for (std::size_t m : {500u, 2000u, 8000u}) {
@@ -57,6 +70,7 @@ int main(int argc, char** argv) {
     cp2.two_choices = true;
     const auto one = max_load<net::ChordNetwork>(runner, cp, trials, seed + m);
     const auto two = max_load<net::ChordNetwork>(runner, cp2, trials, seed + m);
+    add_point("chord", w, m, one, two);
     table.add_row({"chord", std::to_string(w), std::to_string(m),
                    fmt_mean_ci(one.mean(), one.ci95_halfwidth(), 2),
                    fmt_mean_ci(two.mean(), two.ci95_halfwidth(), 2),
@@ -70,6 +84,7 @@ int main(int argc, char** argv) {
     sp2.two_choices = true;
     const auto sone = max_load<net::SensorNetwork>(runner, sp, trials, seed + m + 1);
     const auto stwo = max_load<net::SensorNetwork>(runner, sp2, trials, seed + m + 1);
+    add_point("sensor", w, m, sone, stwo);
     table.add_row({"sensor", std::to_string(w), std::to_string(m),
                    fmt_mean_ci(sone.mean(), sone.ci95_halfwidth(), 2),
                    fmt_mean_ci(stwo.mean(), stwo.ci95_halfwidth(), 2),
@@ -81,6 +96,6 @@ int main(int argc, char** argv) {
                "grows ~ ln ln M (plus the M/W average term), while one-choice grows\n"
                "faster; geometric cell-size skew makes sensor fields lumpier than\n"
                "the DHT ring.\n";
-  bench::finalize(nullptr);
+  bench::finalize(&report);
   return 0;
 }

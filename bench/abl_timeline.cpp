@@ -16,7 +16,7 @@
 #include "net/churn.h"
 #include "proto/timeline.h"
 #include "runtime/trial_runner.h"
-#include "util/stats.h"
+#include "util/check.h"
 #include "util/table_printer.h"
 
 namespace {
@@ -26,16 +26,23 @@ using namespace prlc;
 constexpr std::size_t kRounds = 10;
 constexpr std::size_t kWindow = 5;
 
-/// Per-trial query results for one policy, slotted by round age. Ages the
-/// query could not answer stay at -1 and are skipped during the merge.
-struct TrialOutcome {
-  std::vector<double> levels;
-  std::vector<double> blocks;
-  std::vector<double> allotted;
+/// One round age of one policy's query results; a trial's row holds its
+/// samples, the merged row their means over trials.
+struct AgePoint {
+  double allotted = 0;
+  double blocks = 0;
+  double levels = 0;
+  double ci95_levels = 0;
 };
 
-TrialOutcome run_trial(proto::RetentionPolicy policy, const codes::PrioritySpec& spec,
-                       const codes::PriorityDistribution& dist, Rng& rng) {
+constexpr runtime::PointStat<AgePoint> kStats[] = {
+    {&AgePoint::levels, &AgePoint::ci95_levels},
+    {&AgePoint::blocks},
+    {&AgePoint::allotted},
+};
+
+std::vector<AgePoint> run_trial(proto::RetentionPolicy policy, const codes::PrioritySpec& spec,
+                                const codes::PriorityDistribution& dist, Rng& rng) {
   net::ChordParams np;
   np.nodes = 300;
   np.locations = 480;
@@ -52,19 +59,18 @@ TrialOutcome run_trial(proto::RetentionPolicy policy, const codes::PrioritySpec&
     net::kill_uniform_fraction(overlay, 0.12, rng);
   }
 
-  TrialOutcome outcome;
-  outcome.levels.assign(kWindow, -1.0);
-  outcome.blocks.assign(kWindow, -1.0);
-  outcome.allotted.assign(kWindow, -1.0);
+  // kRounds > kWindow, so the window is full and every retained round
+  // answers its query.
   const auto retained = store.retained_rounds();
-  for (std::size_t age = 0; age < retained.size() && age < kWindow; ++age) {
-    const auto q = store.query(retained[age], rng);
-    if (!q.has_value()) continue;
-    outcome.levels[age] = static_cast<double>(q->decoded_levels);
-    outcome.blocks[age] = static_cast<double>(q->blocks_retrievable);
-    outcome.allotted[age] = static_cast<double>(q->locations_allotted);
+  PRLC_ASSERT(retained.size() == kWindow, "the retention window is not full");
+  std::vector<AgePoint> rows(kWindow);
+  for (std::size_t age = 0; age < kWindow; ++age) {
+    const auto q = store.query(retained[age], rng).value();
+    rows[age].allotted = static_cast<double>(q.locations_allotted);
+    rows[age].blocks = static_cast<double>(q.blocks_retrievable);
+    rows[age].levels = static_cast<double>(q.decoded_levels);
   }
-  return outcome;
+  return rows;
 }
 
 }  // namespace
@@ -81,24 +87,13 @@ int main(int argc, char** argv) {
   const proto::RetentionPolicy policies[] = {proto::RetentionPolicy::kSlidingWindow,
                                              proto::RetentionPolicy::kExponentialDecay};
 
-  // age -> stats, per policy
-  std::vector<std::vector<RunningStats>> levels(2, std::vector<RunningStats>(kWindow));
-  std::vector<std::vector<RunningStats>> blocks(2, std::vector<RunningStats>(kWindow));
-  std::vector<std::vector<RunningStats>> allotted(2, std::vector<RunningStats>(kWindow));
-
+  // [policy][round age]
+  std::vector<std::vector<AgePoint>> ages;
   runtime::TrialRunner runner(bench::options().threads);
-  for (std::size_t p = 0; p < 2; ++p) {
-    const auto outcomes = runner.run(trials, seed, [&, p](std::size_t, Rng& rng) {
-      return run_trial(policies[p], spec, dist, rng);
-    });
-    for (const TrialOutcome& outcome : outcomes) {
-      for (std::size_t age = 0; age < kWindow; ++age) {
-        if (outcome.levels[age] < 0) continue;
-        levels[p][age].add(outcome.levels[age]);
-        blocks[p][age].add(outcome.blocks[age]);
-        allotted[p][age].add(outcome.allotted[age]);
-      }
-    }
+  for (const proto::RetentionPolicy policy : policies) {
+    ages.push_back(runner.run_merged<AgePoint>(trials, seed, kStats, [&](std::size_t, Rng& rng) {
+      return run_trial(policy, spec, dist, rng);
+    }));
   }
 
   bench::BenchReport report("abl_timeline");
@@ -107,23 +102,25 @@ int main(int argc, char** argv) {
   const char* policy_names[] = {"sliding_window", "exponential_decay"};
   for (std::size_t p = 0; p < 2; ++p) {
     for (std::size_t age = 0; age < kWindow; ++age) {
-      report.add_point(policy_names[p],
-                       {{"round_age", static_cast<double>(age)},
-                        {"locations_allotted", allotted[p][age].mean()},
-                        {"blocks_retrievable", blocks[p][age].mean()},
-                        {"decoded_levels", levels[p][age].mean()}});
+      const AgePoint& a = ages[p][age];
+      report.add_point(policy_names[p], {{"round_age", static_cast<double>(age)},
+                                         {"locations_allotted", a.allotted},
+                                         {"blocks_retrievable", a.blocks},
+                                         {"decoded_levels", a.levels}});
     }
   }
 
   TablePrinter table({"round age", "window: share", "window: survivors", "window: levels",
                       "decay: share", "decay: survivors", "decay: levels"});
   for (std::size_t age = 0; age < kWindow; ++age) {
-    table.add_row({std::to_string(age), fmt_double(allotted[0][age].mean(), 0),
-                   fmt_double(blocks[0][age].mean(), 0),
-                   fmt_mean_ci(levels[0][age].mean(), levels[0][age].ci95_halfwidth(), 2),
-                   fmt_double(allotted[1][age].mean(), 0),
-                   fmt_double(blocks[1][age].mean(), 0),
-                   fmt_mean_ci(levels[1][age].mean(), levels[1][age].ci95_halfwidth(), 2)});
+    std::vector<std::string> row = {std::to_string(age)};
+    for (const std::vector<AgePoint>& policy : ages) {
+      const AgePoint& a = policy[age];
+      row.push_back(fmt_double(a.allotted, 0));
+      row.push_back(fmt_double(a.blocks, 0));
+      row.push_back(fmt_mean_ci(a.levels, a.ci95_levels, 2));
+    }
+    table.add_row(row);
   }
   table.emit("abl_timeline");
   std::cout << "\nExpected shape: equal shares decay uniformly with age (churn eats\n"

@@ -19,7 +19,6 @@
 #include "runtime/trial_runner.h"
 #include "util/check.h"
 #include "util/random.h"
-#include "util/stats.h"
 
 namespace prlc::codes {
 
@@ -63,17 +62,15 @@ std::vector<CurvePoint> simulate_decoding_curve(Scheme scheme, const PrioritySpe
   // One immutable encoder shared by all trials (stateless per call).
   const PriorityEncoder<F> encoder(scheme, spec, options.encoder, nullptr);
 
-  struct TrialSample {
-    std::vector<double> levels;
-    std::vector<double> blocks;
+  static constexpr runtime::PointStat<CurvePoint> kStats[] = {
+      {&CurvePoint::mean_levels, &CurvePoint::ci95_levels},
+      {&CurvePoint::mean_blocks, &CurvePoint::ci95_blocks},
   };
   runtime::TrialRunner runner(options.threads);
-  const auto samples = runner.run(
-      options.trials, options.seed, [&](std::size_t, Rng& rng) {
+  return runner.run_merged<CurvePoint>(
+      options.trials, options.seed, kStats, [&](std::size_t, Rng& rng) {
         PriorityDecoder<F> decoder(scheme, spec, 0);
-        TrialSample sample;
-        sample.levels.reserve(points);
-        sample.blocks.reserve(points);
+        std::vector<CurvePoint> rows(points);
         std::size_t next_point = 0;
         const std::size_t max_blocks = options.block_counts.back();
         for (std::size_t m = 1; m <= max_blocks; ++m) {
@@ -83,35 +80,16 @@ std::vector<CurvePoint> simulate_decoding_curve(Scheme scheme, const PrioritySpe
             decoder.add(encoder.encode_random(dist, rng));
           }
           if (m == options.block_counts[next_point]) {
-            sample.levels.push_back(static_cast<double>(decoder.decoded_levels()));
-            sample.blocks.push_back(static_cast<double>(decoder.decoded_prefix_blocks()));
+            CurvePoint& row = rows[next_point];
+            row.coded_blocks = m;
+            row.mean_levels = static_cast<double>(decoder.decoded_levels());
+            row.mean_blocks = static_cast<double>(decoder.decoded_prefix_blocks());
             ++next_point;
           }
         }
         PRLC_ASSERT(next_point == points, "curve sampling missed a checkpoint");
-        return sample;
+        return rows;
       });
-
-  // Ordered merge in trial order — keeps the curve bit-identical across
-  // thread counts (see runtime/trial_runner.h).
-  std::vector<RunningStats> level_stats(points);
-  std::vector<RunningStats> block_stats(points);
-  for (const TrialSample& sample : samples) {
-    for (std::size_t i = 0; i < points; ++i) {
-      level_stats[i].add(sample.levels[i]);
-      block_stats[i].add(sample.blocks[i]);
-    }
-  }
-
-  std::vector<CurvePoint> curve(points);
-  for (std::size_t i = 0; i < points; ++i) {
-    curve[i].coded_blocks = options.block_counts[i];
-    curve[i].mean_levels = level_stats[i].mean();
-    curve[i].ci95_levels = level_stats[i].ci95_halfwidth();
-    curve[i].mean_blocks = block_stats[i].mean();
-    curve[i].ci95_blocks = block_stats[i].ci95_halfwidth();
-  }
-  return curve;
 }
 
 /// Evenly spaced block counts from `lo` to `hi` (inclusive, deduplicated).

@@ -81,6 +81,14 @@ class PrioritySpec {
 std::pair<std::size_t, std::size_t> support(Scheme scheme, const PrioritySpec& spec,
                                             std::size_t level);
 
+/// Largest-remainder apportionment of `total` items to nonnegative
+/// `weights` (not all zero): floor each exact share, then hand the
+/// leftover items out by descending fractional part (ties to the lower
+/// index). Partitions storage locations across priority levels in both
+/// the network protocol and the cluster simulator.
+std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
+                                                     std::span<const double> weights);
+
 /// Non-throwing parse of a comma-separated level-size list ("50,100,350")
 /// into a spec; nullopt on malformed text, a zero size, or overflow. The
 /// CLI/bench counterpart of try_scheme_from_string — bad --levels values

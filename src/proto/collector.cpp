@@ -420,13 +420,4 @@ ByteCheck check_decoded_bytes(const codes::PriorityDecoder<Field>& decoder,
   return check;
 }
 
-std::pair<CollectionResult, bool> collect_and_verify(const Predistribution& dist,
-                                                     const codes::SourceData<Field>& original,
-                                                     Rng& rng) {
-  codes::PriorityDecoder<Field> decoder(dist.params().scheme, dist.spec(),
-                                        dist.params().block_size);
-  const CollectionResult result = collect(dist, decoder, {}, rng).result;
-  return {result, check_decoded_bytes(decoder, original).wrong_blocks == 0};
-}
-
 }  // namespace prlc::proto

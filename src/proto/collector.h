@@ -182,11 +182,4 @@ struct ByteCheck {
 ByteCheck check_decoded_bytes(const codes::PriorityDecoder<Field>& decoder,
                               const codes::SourceData<Field>& source);
 
-/// Convenience: build a payload decoder, collect everything retrievable,
-/// and byte-check it against `original`. Returns the result plus the
-/// verdict (no decoded payload differs from the original).
-std::pair<CollectionResult, bool> collect_and_verify(const Predistribution& dist,
-                                                     const codes::SourceData<Field>& original,
-                                                     Rng& rng);
-
 }  // namespace prlc::proto

@@ -12,22 +12,21 @@
 //      block is an InvariantError in every experiment: zero wrong decoded
 //      bytes is an invariant, not a statistic.
 // A trial returns one row of the experiment's point type per sweep point,
-// its statistic fields holding that trial's samples; run_trials merges the
-// rows in trial order, so results are bit-identical at any thread count.
+// its statistic fields holding that trial's samples;
+// runtime::TrialRunner::run_merged merges the rows in trial order, so
+// results are bit-identical at any thread count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "net/overlay.h"
 #include "proto/collector.h"
 #include "proto/experiment_config.h"
 #include "proto/predistribution.h"
-#include "runtime/trial_runner.h"
-#include "util/stats.h"
+#include "util/random.h"
 
 namespace prlc::proto {
 
@@ -89,37 +88,5 @@ struct CheckedCollection {
 /// any decoded block differs from its source block.
 CheckedCollection collect_checked(FaultyChannel& channel, const codes::SourceData<Field>& source,
                                   const CollectorOptions& options, Rng& rng);
-
-/// One statistic of an experiment's point type P: the field a trial's row
-/// carries its sample in (and the merge writes the mean across trials
-/// to), plus optionally the field that receives the 95% CI half-width.
-template <typename P>
-struct PointStat {
-  double P::*mean;
-  double P::*ci95 = nullptr;
-};
-
-/// Run experiment.trials trials of `trial(t, rng) -> std::vector<P>` (one
-/// row per sweep point, the same count every trial) on experiment.threads
-/// threads, then merge in trial order: each stat becomes its RunningStats
-/// mean (and CI) over the trials; every other field is trial 0's (the
-/// point's sweep coordinates).
-template <typename P, typename Trial>
-std::vector<P> run_trials(const ExperimentConfig& experiment,
-                          std::span<const PointStat<P>> stats, Trial&& trial) {
-  runtime::TrialRunner runner(experiment.threads);
-  const std::vector<std::vector<P>> rows =
-      runner.run(experiment.trials, experiment.root_seed, trial);
-  std::vector<P> out = rows.front();
-  for (std::size_t point = 0; point < out.size(); ++point) {
-    for (const PointStat<P>& stat : stats) {
-      RunningStats merged;
-      for (const std::vector<P>& trial_rows : rows) merged.add(trial_rows[point].*stat.mean);
-      out[point].*stat.mean = merged.mean();
-      if (stat.ci95 != nullptr) out[point].*stat.ci95 = merged.ci95_halfwidth();
-    }
-  }
-  return out;
-}
 
 }  // namespace prlc::proto

@@ -4,13 +4,14 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "runtime/trial_runner.h"
 #include "util/check.h"
 
 namespace prlc::proto {
 
 namespace {
 
-constexpr PointStat<FaultPoint> kStats[] = {
+constexpr runtime::PointStat<FaultPoint> kStats[] = {
     {&FaultPoint::mean_decoded_levels, &FaultPoint::ci95_decoded_levels},
     {&FaultPoint::mean_decoded_blocks},
     {&FaultPoint::mean_blocks_retrieved},
@@ -65,54 +66,57 @@ std::vector<FaultPoint> run_fault_experiment(const FaultSweepParams& params) {
     ts.hedges = obs::timeseries("fault.hedges");
   }
 
-  return run_trials<FaultPoint>(params.experiment, kStats, [&](std::size_t t, Rng& rng) {
-    trials_run.add();
-    obs::ScopedSpan trial_span("trial", "fault_experiment",
-                               {{"trial", static_cast<double>(t)}});
-    Deployment d = setup.deploy(rng);
-    if (params.churn_fraction > 0) {
-      net::kill_uniform_fraction(*d.overlay, params.churn_fraction, rng);
-    }
+  runtime::TrialRunner runner(params.experiment.threads);
+  return runner.run_merged<FaultPoint>(
+      params.experiment.trials, params.experiment.root_seed, kStats,
+      [&](std::size_t t, Rng& rng) {
+        trials_run.add();
+        obs::ScopedSpan trial_span("trial", "fault_experiment",
+                                   {{"trial", static_cast<double>(t)}});
+        Deployment d = setup.deploy(rng);
+        if (params.churn_fraction > 0) {
+          net::kill_uniform_fraction(*d.overlay, params.churn_fraction, rng);
+        }
 
-    std::vector<FaultPoint> rows(points);
-    for (std::size_t point = 0; point < points; ++point) {
-      const double scale = params.fault_scales[point];
-      obs::set_logical_time(point);
-      net::FaultPlan plan(params.faults.scaled(scale), d.overlay->nodes(), rng);
-      FaultyChannel channel(d.predist, std::move(plan));
-      CollectorOptions options;
-      options.retry = params.retry;
-      const CollectionOutcome c = collect_checked(channel, d.source, options, rng).outcome;
-      FaultPoint& row = rows[point];
-      row.fault_scale = scale;
-      row.mean_decoded_levels = static_cast<double>(c.result.decoded_levels);
-      row.mean_decoded_blocks = static_cast<double>(c.result.decoded_blocks);
-      row.mean_blocks_retrieved = static_cast<double>(c.result.blocks_retrieved);
-      row.mean_blocks_lost = static_cast<double>(c.blocks_lost);
-      row.mean_retries = static_cast<double>(c.retries);
-      row.mean_hedges = static_cast<double>(c.hedges);
-      row.mean_wire_errors = static_cast<double>(c.faults.wire_errors);
-      row.mean_timeouts = static_cast<double>(c.faults.timeouts);
-      row.mean_transient_errors = static_cast<double>(c.faults.transient_errors);
-      row.mean_crashes = static_cast<double>(c.faults.crashes);
-      row.mean_blacklisted = static_cast<double>(c.blacklisted_nodes);
-      row.degraded_fraction = c.degraded ? 1.0 : 0.0;
-      if (want_timeseries) {
-        obs::sample(ts.decoded_levels, static_cast<double>(c.result.decoded_levels));
-        obs::sample(ts.blocks_lost, static_cast<double>(c.blocks_lost));
-        obs::sample(ts.retries, static_cast<double>(c.retries));
-        obs::sample(ts.hedges, static_cast<double>(c.hedges));
-      }
-      if (obs::trace_enabled()) {
-        obs::TraceRecorder::global().instant(
-            "fault_point", "fault_experiment",
-            {{"fault_scale", scale},
-             {"decoded_levels", static_cast<double>(c.result.decoded_levels)},
-             {"blocks_lost", static_cast<double>(c.blocks_lost)}});
-      }
-    }
-    return rows;
-  });
+        std::vector<FaultPoint> rows(points);
+        for (std::size_t point = 0; point < points; ++point) {
+          const double scale = params.fault_scales[point];
+          obs::set_logical_time(point);
+          net::FaultPlan plan(params.faults.scaled(scale), d.overlay->nodes(), rng);
+          FaultyChannel channel(d.predist, std::move(plan));
+          CollectorOptions options;
+          options.retry = params.retry;
+          const CollectionOutcome c = collect_checked(channel, d.source, options, rng).outcome;
+          FaultPoint& row = rows[point];
+          row.fault_scale = scale;
+          row.mean_decoded_levels = static_cast<double>(c.result.decoded_levels);
+          row.mean_decoded_blocks = static_cast<double>(c.result.decoded_blocks);
+          row.mean_blocks_retrieved = static_cast<double>(c.result.blocks_retrieved);
+          row.mean_blocks_lost = static_cast<double>(c.blocks_lost);
+          row.mean_retries = static_cast<double>(c.retries);
+          row.mean_hedges = static_cast<double>(c.hedges);
+          row.mean_wire_errors = static_cast<double>(c.faults.wire_errors);
+          row.mean_timeouts = static_cast<double>(c.faults.timeouts);
+          row.mean_transient_errors = static_cast<double>(c.faults.transient_errors);
+          row.mean_crashes = static_cast<double>(c.faults.crashes);
+          row.mean_blacklisted = static_cast<double>(c.blacklisted_nodes);
+          row.degraded_fraction = c.degraded ? 1.0 : 0.0;
+          if (want_timeseries) {
+            obs::sample(ts.decoded_levels, static_cast<double>(c.result.decoded_levels));
+            obs::sample(ts.blocks_lost, static_cast<double>(c.blocks_lost));
+            obs::sample(ts.retries, static_cast<double>(c.retries));
+            obs::sample(ts.hedges, static_cast<double>(c.hedges));
+          }
+          if (obs::trace_enabled()) {
+            obs::TraceRecorder::global().instant(
+                "fault_point", "fault_experiment",
+                {{"fault_scale", scale},
+                 {"decoded_levels", static_cast<double>(c.result.decoded_levels)},
+                 {"blocks_lost", static_cast<double>(c.blocks_lost)}});
+          }
+        }
+        return rows;
+      });
 }
 
 }  // namespace prlc::proto

@@ -3,6 +3,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "runtime/trial_runner.h"
 #include "sim/failure_process.h"
 #include "util/check.h"
 
@@ -10,7 +11,7 @@ namespace prlc::proto {
 
 namespace {
 
-constexpr PointStat<PersistencePoint> kStats[] = {
+constexpr runtime::PointStat<PersistencePoint> kStats[] = {
     {&PersistencePoint::mean_surviving_blocks},
     {&PersistencePoint::mean_decoded_levels, &PersistencePoint::ci95_decoded_levels},
     {&PersistencePoint::mean_decoded_blocks},
@@ -79,8 +80,10 @@ std::vector<PersistencePoint> run_persistence_experiment(const PersistenceParams
     }
   }
 
-  return run_trials<PersistencePoint>(
-      params.experiment, kStats, [&](std::size_t t, Rng& rng) {
+  runtime::TrialRunner runner(params.experiment.threads);
+  return runner.run_merged<PersistencePoint>(
+      params.experiment.trials, params.experiment.root_seed, kStats,
+      [&](std::size_t t, Rng& rng) {
         trials_run.add();
         obs::ScopedSpan trial_span(
             "trial", "persistence",

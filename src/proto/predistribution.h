@@ -116,8 +116,4 @@ class Predistribution {
   std::vector<std::optional<StoredBlock>> storage_;
 };
 
-/// Largest-remainder apportionment of `total` items to `weights`.
-std::vector<std::size_t> apportion_largest_remainder(std::size_t total,
-                                                     std::span<const double> weights);
-
 }  // namespace prlc::proto

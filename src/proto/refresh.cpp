@@ -8,6 +8,7 @@
 #include "obs/trace.h"
 #include "proto/collector.h"
 #include "proto/experiment_trial.h"
+#include "runtime/trial_runner.h"
 #include "util/check.h"
 
 namespace prlc::proto {
@@ -105,7 +106,7 @@ RefreshResult refresh(Predistribution& dist, net::NodeId maintainer, Rng& rng) {
 
 namespace {
 
-constexpr PointStat<RefreshWavePoint> kWaveStats[] = {
+constexpr runtime::PointStat<RefreshWavePoint> kWaveStats[] = {
     {&RefreshWavePoint::mean_decoded_levels, &RefreshWavePoint::ci95_decoded_levels},
     {&RefreshWavePoint::mean_decoded_blocks},
     {&RefreshWavePoint::mean_surviving_locations},
@@ -137,32 +138,35 @@ std::vector<RefreshWavePoint> run_refresh_experiment(const RefreshExperimentPara
     ts.rebuilt = obs::timeseries("refresh.rebuilt_locations");
   }
 
-  return run_trials<RefreshWavePoint>(params.experiment, kWaveStats, [&](std::size_t, Rng& rng) {
-    Deployment d = setup.deploy(rng);
-    std::vector<RefreshWavePoint> rows(params.waves);
-    for (std::size_t wave = 0; wave < params.waves; ++wave) {
-      obs::set_logical_time(wave);
-      net::kill_uniform_fraction(*d.overlay, params.kill_fraction, rng);
-      std::size_t rebuilt = 0;
-      if (params.use_refresh && d.overlay->alive_count() > 0) {
-        rebuilt = refresh(d.predist, d.overlay->random_alive_node(rng), rng).rebuilt_locations;
-      }
-      FaultyChannel channel(d.predist);
-      const auto result = collect_checked(channel, d.source, {}, rng).outcome.result;
-      if (want_timeseries) {
-        obs::sample(ts.decoded_levels, static_cast<double>(result.decoded_levels));
-        obs::sample(ts.surviving, static_cast<double>(result.surviving_locations));
-        obs::sample(ts.rebuilt, static_cast<double>(rebuilt));
-      }
-      RefreshWavePoint& row = rows[wave];
-      row.wave = wave + 1;
-      row.mean_decoded_levels = static_cast<double>(result.decoded_levels);
-      row.mean_decoded_blocks = static_cast<double>(result.decoded_blocks);
-      row.mean_surviving_locations = static_cast<double>(result.surviving_locations);
-      row.mean_rebuilt_locations = static_cast<double>(rebuilt);
-    }
-    return rows;
-  });
+  runtime::TrialRunner runner(params.experiment.threads);
+  return runner.run_merged<RefreshWavePoint>(
+      params.experiment.trials, params.experiment.root_seed, kWaveStats,
+      [&](std::size_t, Rng& rng) {
+        Deployment d = setup.deploy(rng);
+        std::vector<RefreshWavePoint> rows(params.waves);
+        for (std::size_t wave = 0; wave < params.waves; ++wave) {
+          obs::set_logical_time(wave);
+          net::kill_uniform_fraction(*d.overlay, params.kill_fraction, rng);
+          std::size_t rebuilt = 0;
+          if (params.use_refresh && d.overlay->alive_count() > 0) {
+            rebuilt = refresh(d.predist, d.overlay->random_alive_node(rng), rng).rebuilt_locations;
+          }
+          FaultyChannel channel(d.predist);
+          const auto result = collect_checked(channel, d.source, {}, rng).outcome.result;
+          if (want_timeseries) {
+            obs::sample(ts.decoded_levels, static_cast<double>(result.decoded_levels));
+            obs::sample(ts.surviving, static_cast<double>(result.surviving_locations));
+            obs::sample(ts.rebuilt, static_cast<double>(rebuilt));
+          }
+          RefreshWavePoint& row = rows[wave];
+          row.wave = wave + 1;
+          row.mean_decoded_levels = static_cast<double>(result.decoded_levels);
+          row.mean_decoded_blocks = static_cast<double>(result.decoded_blocks);
+          row.mean_surviving_locations = static_cast<double>(result.surviving_locations);
+          row.mean_rebuilt_locations = static_cast<double>(rebuilt);
+        }
+        return rows;
+      });
 }
 
 }  // namespace prlc::proto

@@ -152,7 +152,7 @@ IngestStats TimelineStore::ingest(const codes::SourceData<Field>& source, Rng& r
   // order; future shrinks pop from the back, so the round sheds its
   // lowest-priority blocks first (priority-aware aging — see header).
   const auto parts =
-      apportion_largest_remainder(fresh.locations.size(), dist_.values());
+      codes::apportion_largest_remainder(fresh.locations.size(), dist_.values());
   std::size_t cursor = 0;
   for (std::size_t level = 0; level < parts.size(); ++level) {
     for (std::size_t i = 0; i < parts[level]; ++i) {

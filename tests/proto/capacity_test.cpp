@@ -6,6 +6,7 @@
 #include "net/chord_network.h"
 #include "net/sensor_network.h"
 #include "proto/collector.h"
+#include "proto/experiment_trial.h"
 #include "proto/predistribution.h"
 
 namespace prlc::proto {
@@ -79,9 +80,11 @@ TEST(Capacity, DataStillDecodesWithTightCapacity) {
   const auto source = codes::SourceData<Field>::random(8, 4, w.rng);
   const auto stats = pd.disseminate(source, w.rng);
   EXPECT_LE(stats.max_node_load, 1u);
-  const auto [result, verified] = collect_and_verify(pd, source, w.rng);
+  FaultyChannel channel(pd);
+  const CheckedCollection checked = collect_checked(channel, source, {}, w.rng);
+  const CollectionResult& result = checked.outcome.result;
   EXPECT_EQ(result.decoded_levels, 2u);
-  EXPECT_TRUE(verified);
+  EXPECT_EQ(checked.bytes.wrong_blocks, 0u);
 }
 
 TEST(Capacity, SensorOverlaySpillsToNeighbors) {

@@ -44,11 +44,13 @@ TEST(Collector, FullCollectionDecodesEverything) {
   const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
   pd.disseminate(source, s.rng);
   // 60 locations for 20 unknowns: decoding everything is near-certain.
-  const auto [result, verified] = collect_and_verify(pd, source, s.rng);
+  FaultyChannel channel(pd);
+  const CheckedCollection checked = collect_checked(channel, source, {}, s.rng);
+  const CollectionResult& result = checked.outcome.result;
   EXPECT_EQ(result.surviving_locations, 60u);
   EXPECT_EQ(result.decoded_levels, 3u);
   EXPECT_EQ(result.decoded_blocks, 20u);
-  EXPECT_TRUE(verified);
+  EXPECT_EQ(checked.bytes.wrong_blocks, 0u);
   EXPECT_EQ(result.innovative_blocks, 20u);
 }
 
@@ -120,9 +122,11 @@ TEST(Collector, SlcSchemeEndToEnd) {
   Predistribution pd(s.overlay, s.spec, s.dist, s.params);
   const auto source = codes::SourceData<Field>::random(s.spec.total(), 6, s.rng);
   pd.disseminate(source, s.rng);
-  const auto [result, verified] = collect_and_verify(pd, source, s.rng);
+  FaultyChannel channel(pd);
+  const CheckedCollection checked = collect_checked(channel, source, {}, s.rng);
+  const CollectionResult& result = checked.outcome.result;
   EXPECT_EQ(result.decoded_levels, 3u);
-  EXPECT_TRUE(verified);
+  EXPECT_EQ(checked.bytes.wrong_blocks, 0u);
 }
 
 TEST(Collector, ByteCheckCountsExactlyTheWrongDecodedBlocks) {
@@ -470,7 +474,9 @@ TEST(IntegrityCollector, BitRotIsDetectedLocalizedAndQuarantined) {
   EXPECT_TRUE(outcome.degraded);
   // Localization: each violation names a location the channel really rotted.
   for (const FetchAttempt& a : outcome.fetch_log) {
-    if (a.integrity_rejected) EXPECT_TRUE(channel.location_rotten(a.location));
+    if (a.integrity_rejected) {
+      EXPECT_TRUE(channel.location_rotten(a.location));
+    }
     EXPECT_FALSE(a.delivered);
   }
   h.expect_verified(decoder);  // vacuous but proves no garbage decoded

@@ -11,6 +11,7 @@
 #include "net/churn.h"
 #include "net/sensor_network.h"
 #include "proto/collector.h"
+#include "proto/experiment_trial.h"
 #include "proto/persistence_experiment.h"
 #include "proto/predistribution.h"
 
@@ -76,9 +77,11 @@ TEST_P(EndToEnd, CleanNetworkRecoversAndVerifiesEverything) {
     ASSERT_LE(stats.max_node_load, GetParam().capacity);
   }
 
-  const auto [result, verified] = collect_and_verify(pd, source, rng);
+  FaultyChannel channel(pd);
+  const CheckedCollection checked = collect_checked(channel, source, {}, rng);
+  const CollectionResult& result = checked.outcome.result;
   EXPECT_EQ(result.decoded_levels, 3u) << "3x overprovisioning must decode all";
-  EXPECT_TRUE(verified);
+  EXPECT_EQ(checked.bytes.wrong_blocks, 0u);
 }
 
 TEST_P(EndToEnd, ChurnNeverProducesWrongData) {

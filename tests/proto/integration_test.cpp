@@ -9,6 +9,7 @@
 #include "net/chord_network.h"
 #include "net/churn.h"
 #include "proto/collector.h"
+#include "proto/experiment_trial.h"
 #include "proto/predistribution.h"
 #include "util/stats.h"
 
@@ -51,7 +52,7 @@ TEST(Integration, ProtocolBlocksDecodeLikeCentralizedEncoding) {
   // Prediction: M blocks whose levels follow the *location partition*
   // proportions (hypergeometric ~ multinomial at these sizes). Use the
   // count-model MC with the partition's empirical distribution.
-  const auto parts = apportion_largest_remainder(np.locations, dist.values());
+  const auto parts = codes::apportion_largest_remainder(np.locations, dist.values());
   std::vector<double> part_dist;
   for (std::size_t c : parts) part_dist.push_back(static_cast<double>(c));
   normalize(std::span<double>(part_dist));
@@ -81,9 +82,11 @@ TEST(Integration, SparseProtocolStillDecodesWithOverprovisioning) {
   // Sparse mode must cost far fewer messages than dense (which would be
   // sum of supports ~ 180 * 30 on average).
   EXPECT_LT(stats.messages, 180u * 16u);
-  const auto [result, verified] = collect_and_verify(pd, source, rng);
+  FaultyChannel channel(pd);
+  const CheckedCollection checked = collect_checked(channel, source, {}, rng);
+  const CollectionResult& result = checked.outcome.result;
   EXPECT_EQ(result.decoded_levels, 3u);
-  EXPECT_TRUE(verified);
+  EXPECT_EQ(checked.bytes.wrong_blocks, 0u);
 }
 
 TEST(Integration, PriorityOrderingUnderChurnMatchesAnalysis) {

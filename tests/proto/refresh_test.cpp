@@ -6,6 +6,7 @@
 #include "net/chord_network.h"
 #include "net/churn.h"
 #include "proto/collector.h"
+#include "proto/experiment_trial.h"
 #include "util/check.h"
 
 namespace prlc::proto {
@@ -78,9 +79,11 @@ TEST(Refresh, RebuiltBlocksDecodeCorrectData) {
   World w;
   net::kill_uniform_fraction(w.overlay, 0.4, w.rng);
   refresh(w.pd, w.overlay.random_alive_node(w.rng), w.rng);
-  const auto [result, verified] = collect_and_verify(w.pd, w.source, w.rng);
+  FaultyChannel channel(w.pd);
+  const CheckedCollection checked = collect_checked(channel, w.source, {}, w.rng);
+  const CollectionResult& result = checked.outcome.result;
   EXPECT_EQ(result.decoded_levels, 3u);
-  EXPECT_TRUE(verified);
+  EXPECT_EQ(checked.bytes.wrong_blocks, 0u);
 }
 
 TEST(Refresh, SurvivesRepeatedChurnWavesBetterThanNoRefresh) {

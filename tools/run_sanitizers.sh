@@ -36,10 +36,10 @@ ctest --test-dir "${build_dir}" --output-on-failure -j"${jobs}" "$@"
 echo "sanitizer run OK (${build_dir})"
 
 # Phase 2: ThreadSanitizer over the concurrent code: the obs metrics/trace
-# layers (relaxed atomics + one mutex) and the runtime thread pool /
-# trial runner. TSan runs just those suites plus two multi-threaded bench
-# smokes rather than paying the 5-20x slowdown across everything. TSan is
-# incompatible with ASan, hence the separate build tree.
+# layers (relaxed atomics + one mutex) and the runtime trial runner. TSan
+# runs just those suites plus two multi-threaded bench smokes rather than
+# paying the 5-20x slowdown across everything. TSan is incompatible with
+# ASan, hence the separate build tree.
 #
 # The fault-injection suites (test_net fault model, test_proto channel +
 # resilient collector) run under ASan/UBSan as part of the full ctest
@@ -56,9 +56,10 @@ cmake --build "${tsan_build_dir}" -j"${jobs}" \
   --target abl_persistence_e2e --target abl_fault --target abl_cluster_lifetime \
   --target abl_integrity
 
-# test_runtime drives the work-stealing ThreadPool and the TrialRunner's
-# sharded trial distribution across pools of several workers — the prime
-# TSan targets this repo has — beside the obs suites.
+# test_runtime drives the TrialRunner's fan-out (worker threads claiming
+# trial indices from one atomic counter, slotted results, nested runners)
+# at several thread counts — the prime TSan target this repo has — beside
+# the obs suites.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 ctest --test-dir "${tsan_build_dir}" --output-on-failure -j"${jobs}" \
   -R '^test_obs$|^test_obs_noalloc$|^test_runtime$'
