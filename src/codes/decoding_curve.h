@@ -35,13 +35,13 @@ struct CurveOptions {
   std::size_t trials = 100;
   std::uint64_t seed = 1;
   std::size_t threads = 0;  ///< TrialRunner convention: 0 = hardware, 1 = serial
-  EncoderOptions encoder;   ///< coefficient model (dense/sparse)
-  /// Stream blocks in sparse (index, value) form through the decoder's
-  /// O(nnz) hybrid path instead of expanding dense coefficient vectors.
-  /// The encoder's sparse emitter consumes the RNG exactly like the dense
-  /// one, so the curve itself is bit-identical either way — this flag only
-  /// changes the cost model, and is what makes N = 10^5 runs practical.
-  bool sparse_blocks = false;
+  /// Coefficient model. A sparse model streams blocks in (index, value)
+  /// form through the decoder's O(nnz) hybrid path instead of expanding
+  /// dense coefficient vectors — what makes N = 10^5 runs practical. The
+  /// sparse emitter consumes the RNG exactly like the dense one and the
+  /// decoder's two entry points are exactly equivalent, so the curve is
+  /// the one a dense-fed decoder would give.
+  EncoderOptions encoder;
 };
 
 /// Simulate the decoding curve for one (scheme, spec, distribution).
@@ -61,6 +61,7 @@ std::vector<CurvePoint> simulate_decoding_curve(Scheme scheme, const PrioritySpe
 
   // One immutable encoder shared by all trials (stateless per call).
   const PriorityEncoder<F> encoder(scheme, spec, options.encoder, nullptr);
+  const bool sparse = options.encoder.model == CoefficientModel::kSparse;
 
   static constexpr runtime::PointStat<CurvePoint> kStats[] = {
       {&CurvePoint::mean_levels, &CurvePoint::ci95_levels},
@@ -74,7 +75,7 @@ std::vector<CurvePoint> simulate_decoding_curve(Scheme scheme, const PrioritySpe
         std::size_t next_point = 0;
         const std::size_t max_blocks = options.block_counts.back();
         for (std::size_t m = 1; m <= max_blocks; ++m) {
-          if (options.sparse_blocks) {
+          if (sparse) {
             decoder.add(encoder.encode_sparse_random(dist, rng));
           } else {
             decoder.add(encoder.encode_random(dist, rng));

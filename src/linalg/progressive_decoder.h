@@ -8,7 +8,10 @@
 // which unknowns are already solved — in particular the longest solved
 // prefix, which under the strict priority model is what the application
 // cares about. The RREF of a matrix is unique for a given row space, so
-// this online variant solves exactly what batch Gauss-Jordan would.
+// this online variant solves exactly what batch Gauss-Jordan would — and
+// one decoder over a block-diagonal system (SLC's independent levels)
+// solves exactly what one decoder per block would; codes::PriorityDecoder
+// runs a single instance for every scheme.
 //
 // Hybrid storage (the N >= 10^5 path). The paper leans on O(ln N)-sparse
 // coefficients (Dimakis et al., "Decentralized Erasure Codes"), and dense
@@ -22,8 +25,9 @@
 //     actually intersect the new pivot column. Eliminating against a
 //     *singleton* row (one nonzero == a decoded unknown) is the GF(2^q)
 //     generalization of XOR peeling: subtract value * solution, O(1) per
-//     reference (see codes/peeling_decoder.{h,cpp} for the standalone
-//     XOR/GF(256) peeling decoder this path subsumes).
+//     reference. This is the repository's only payload peeler;
+//     codes/peeling_decoder.h is the index-only XOR peeler of the Growth
+//     Codes baseline.
 //   * dense rows — a contiguous coefficient window [pivot, end), used
 //     once a row's fill-in passes the density threshold (see
 //     `should_store_dense`). Dense rows are found through a coarse

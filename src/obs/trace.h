@@ -99,7 +99,10 @@ class TraceRecorder {
 /// sites that would otherwise build argument lists for nothing.
 inline bool trace_enabled() { return TraceRecorder::global().capturing(); }
 
-/// RAII "B"/"E" pair on the global recorder.
+/// RAII "B"/"E" pair on the global recorder. The span keeps views of
+/// `name` and `category` (not copies), so a disabled span costs one
+/// relaxed load and never allocates; both strings must outlive the span
+/// (every caller passes literals).
 class ScopedSpan {
  public:
   ScopedSpan(std::string_view name, std::string_view category,
@@ -115,8 +118,8 @@ class ScopedSpan {
 
  private:
   bool active_;
-  std::string name_;
-  std::string category_;
+  std::string_view name_;
+  std::string_view category_;
 };
 
 }  // namespace prlc::obs

@@ -32,6 +32,14 @@ enum class Delivery {
   kIntegrityRejected,   ///< fingerprint mismatch — block written off, node quarantined
 };
 
+/// What the one reply handler (book) decided about one fetch attempt.
+enum class Booked {
+  kDelivered,   ///< frame fed to the decoder
+  kWrittenOff,  ///< the block is lost: dead/crashed/quarantined node or budget gone
+  kRetry,       ///< timeout/transient fault — retry in place after backoff
+  kDefer,       ///< wire-rejected frame — retry from the back of the queue
+};
+
 /// Backoff before retry `attempt` (0-based), jittered deterministically
 /// from the trial Rng. Only called on the retry path, so fault-free
 /// collection consumes no extra draws.
@@ -130,18 +138,6 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
   /// reply buffer — no per-fetch payload copy; only sparse coefficient
   /// frames expand into a scratch vector reused across fetches.
   std::vector<std::uint8_t> coeff_scratch;
-  /// An SLC frame must name one of the decoder's levels and carry
-  /// coefficients only inside it; PriorityDecoder::add would otherwise
-  /// throw. Checked before fingerprinting, like the other shape checks: a
-  /// combination of genuine sources verifies, yet is still malformed here.
-  const auto fits_decoder_level = [&](std::size_t level, std::span<const std::uint8_t> coeffs) {
-    if (decoder.scheme() != codes::Scheme::kSlc) return true;
-    const codes::PrioritySpec& spec = decoder.spec();
-    if (level >= spec.levels()) return false;
-    const auto nonzero = [](std::uint8_t c) { return c != 0; };
-    return std::none_of(coeffs.begin(), coeffs.begin() + spec.level_begin(level), nonzero) &&
-           std::none_of(coeffs.begin() + spec.level_end(level), coeffs.end(), nonzero);
-  };
   const auto deliver = [&](net::LocationId loc, const FetchReply& reply) {
     try {
       const codes::WireBlockView view = codes::decode_wire_view(reply.bytes);
@@ -157,7 +153,10 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
         view.expand_coeffs(coeff_scratch);
         coeffs = coeff_scratch;
       }
-      if (!fits_decoder_level(view.level, coeffs)) {
+      // An SLC frame must name one of the decoder's levels and carry
+      // coefficients only inside it. Checked before fingerprinting too: a
+      // combination of genuine sources verifies, yet is still malformed.
+      if (!decoder.fits(view.level, coeffs)) {
         throw codes::WireFormatError("SLC frame does not fit the decoder's levels");
       }
       if (fingerprinter.has_value() &&
@@ -213,79 +212,95 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
     return true;
   };
 
+  const auto write_off = [&] {
+    ++out.blocks_lost;
+    lost_ctr.add();
+  };
+
+  /// Write off `loc` without a fetch when its node is already known gone
+  /// (blacklisted, quarantined or crashed); true when it was.
+  const auto write_off_unreachable = [&](net::LocationId loc) {
+    const net::NodeId node = channel.owner_of(loc);
+    if (!blacklisted.contains(node) && !channel.node_crashed(node)) return false;
+    write_off();
+    return true;
+  };
+
+  /// One fetch attempt on the wire, timed into the latency histogram and
+  /// the simulated clock.
+  const auto fetch = [&](net::LocationId loc) {
+    FetchReply reply = channel.fetch(loc, rng);
+    latency_hist.record(reply.latency_us);
+    out.sim_elapsed_us += reply.latency_us;
+    return reply;
+  };
+
+  /// THE reply handler: count the reply's fault class, log the attempt,
+  /// feed a delivered frame to the decoder and charge a retryable fault to
+  /// the serving node. Callers keep only their policy for the verdict.
+  const auto book = [&](net::LocationId loc, const FetchReply& reply) {
+    Delivery d = Delivery::kOk;
+    Booked booked = Booked::kWrittenOff;
+    switch (reply.fault) {
+      case net::FaultClass::kNone:
+        d = deliver(loc, reply);
+        // An integrity rejection stays written off: the node is quarantined
+        // and the lie sticky, so another attempt replays the same bytes.
+        if (d == Delivery::kOk) booked = Booked::kDelivered;
+        if (d == Delivery::kWireRejected) booked = Booked::kDefer;
+        break;
+      case net::FaultClass::kDeadNode:  // nothing to retry against
+        ++out.faults.dead_nodes;
+        break;
+      case net::FaultClass::kCrash:  // the node is gone for the rest of the collection
+        ++out.faults.crashes;
+        crashes_ctr.add();
+        break;
+      case net::FaultClass::kTimeout:
+        ++out.faults.timeouts;
+        timeouts_ctr.add();
+        booked = Booked::kRetry;
+        break;
+      case net::FaultClass::kTransient:
+        ++out.faults.transient_errors;
+        transient_ctr.add();
+        booked = Booked::kRetry;
+        break;
+      default:
+        PRLC_ASSERT(false, "channel returned an in-band fault class");
+    }
+    log_attempt(loc, reply, d, booked == Booked::kDelivered);
+    const bool retryable = booked == Booked::kRetry || booked == Booked::kDefer;
+    if (retryable && charge_fault(reply.node)) booked = Booked::kWrittenOff;
+    return booked;
+  };
+
   /// Opportunistic single-attempt fetch of the next pending location,
   /// issued when a primary reply blows the hedge deadline. No retries, no
-  /// nested hedging — a hedge is a bet, not a commitment.
+  /// nested hedging — a hedge is a bet, not a commitment: anything not
+  /// delivered is written off.
   const auto hedge_fetch = [&] {
     while (cursor < order.size()) {
       const net::LocationId loc = order[cursor++];
-      const net::NodeId node = channel.owner_of(loc);
-      if (blacklisted.contains(node) || channel.node_crashed(node)) {
-        ++out.blocks_lost;
-        lost_ctr.add();
-        continue;
-      }
+      if (write_off_unreachable(loc)) continue;
       ++out.hedges;
       hedges_ctr.add();
-      obs::emit(obs::EventType::kFetchHedged, static_cast<double>(node));
-      const FetchReply reply = channel.fetch(loc, rng);
-      latency_hist.record(reply.latency_us);
-      out.sim_elapsed_us += reply.latency_us;
-      bool delivered = false;
-      switch (reply.fault) {
-        case net::FaultClass::kNone: {
-          const Delivery d = deliver(loc, reply);
-          delivered = d == Delivery::kOk;
-          log_attempt(loc, reply, d, delivered);
-          if (d == Delivery::kWireRejected) charge_fault(reply.node);
-          break;
-        }
-        case net::FaultClass::kDeadNode:
-          ++out.faults.dead_nodes;
-          log_attempt(loc, reply, Delivery::kOk, false);
-          break;
-        case net::FaultClass::kCrash:
-          ++out.faults.crashes;
-          crashes_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          break;
-        case net::FaultClass::kTimeout:
-          ++out.faults.timeouts;
-          timeouts_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          charge_fault(reply.node);
-          break;
-        case net::FaultClass::kTransient:
-          ++out.faults.transient_errors;
-          transient_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          charge_fault(reply.node);
-          break;
-        default:
-          PRLC_ASSERT(false, "channel returned an in-band fault class");
-      }
-      if (!delivered) {
-        ++out.blocks_lost;
-        lost_ctr.add();
-      }
+      obs::emit(obs::EventType::kFetchHedged, static_cast<double>(channel.owner_of(loc)));
+      if (book(loc, fetch(loc)) != Booked::kDelivered) write_off();
       return;
     }
   };
 
   /// Full self-healing fetch of one location: retry loop with capped
-  /// exponential backoff, budget charging, hedging on slow replies.
-  /// Wire-rejected frames do NOT retry in place — the location is
-  /// deferred to the back of the queue (its attempt count persists in
-  /// loc_attempts), so the very next fetch goes to a different node
-  /// instead of hammering the one that just served garbage.
+  /// exponential backoff, hedging on slow replies. Wire-rejected frames do
+  /// NOT retry in place — the location is deferred to the back of the
+  /// queue (its attempt count persists in loc_attempts), so the very next
+  /// fetch goes to a different node instead of hammering the one that
+  /// just served garbage.
   const auto fetch_with_retry = [&](net::LocationId loc) {
-    const net::NodeId node = channel.owner_of(loc);
     std::size_t& attempt = loc_attempts[loc];
     while (attempt < policy.max_attempts) {
-      const FetchReply reply = channel.fetch(loc, rng);
-      latency_hist.record(reply.latency_us);
-      out.sim_elapsed_us += reply.latency_us;
-
+      const FetchReply reply = fetch(loc);
       // A reply slower than the deadline — delivered or not — triggers
       // one hedged fetch of the next pending location (more blocks in
       // flight is the erasure-coded answer to stragglers: any innovative
@@ -293,98 +308,28 @@ CollectionOutcome collect(FaultyChannel& channel, codes::PriorityDecoder<Field>&
       if (policy.hedging && reply.latency_us > policy.hedge_deadline_us && !done()) {
         hedge_fetch();
       }
-
-      switch (reply.fault) {
-        case net::FaultClass::kNone: {
-          const Delivery d = deliver(loc, reply);
-          log_attempt(loc, reply, d, d == Delivery::kOk);
-          if (d == Delivery::kOk) return;  // healed or clean — done with this block
-          if (d == Delivery::kIntegrityRejected) {
-            // The node is quarantined and the lie sticky: retrying this
-            // location can only replay the same forged bytes.
-            ++out.blocks_lost;
-            lost_ctr.add();
-            return;
-          }
-          // Wire-rejected: charge the node and defer the location so the
-          // next fetch targets a different node.
-          ++attempt;
-          if (charge_fault(node)) break;  // budget gone: write the block off
-          if (attempt < policy.max_attempts) {
-            order.push_back(loc);
-            ++out.retries;
-            retries_ctr.add();
-            obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
-                      static_cast<double>(attempt));
-            return;  // no backoff — the collector moves on immediately
-          }
-          break;  // attempts exhausted
-        }
-        case net::FaultClass::kDeadNode:
-          ++out.faults.dead_nodes;
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++out.blocks_lost;
-          lost_ctr.add();
-          return;  // nothing to retry against
-        case net::FaultClass::kCrash:
-          ++out.faults.crashes;
-          crashes_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++out.blocks_lost;
-          lost_ctr.add();
-          return;  // the node is gone for the rest of the collection
-        case net::FaultClass::kTimeout:
-          ++out.faults.timeouts;
-          timeouts_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++attempt;
-          if (charge_fault(node)) break;
-          if (attempt < policy.max_attempts) {
-            ++out.retries;
-            retries_ctr.add();
-            obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
-                      static_cast<double>(attempt));
-            out.sim_elapsed_us += backoff_us(policy, attempt - 1, rng);
-            continue;
-          }
-          break;
-        case net::FaultClass::kTransient:
-          ++out.faults.transient_errors;
-          transient_ctr.add();
-          log_attempt(loc, reply, Delivery::kOk, false);
-          ++attempt;
-          if (charge_fault(node)) break;
-          if (attempt < policy.max_attempts) {
-            ++out.retries;
-            retries_ctr.add();
-            obs::emit(obs::EventType::kFetchRetry, static_cast<double>(node),
-                      static_cast<double>(attempt));
-            out.sim_elapsed_us += backoff_us(policy, attempt - 1, rng);
-            continue;
-          }
-          break;
-        default:
-          PRLC_ASSERT(false, "channel returned an in-band fault class");
+      const Booked booked = book(loc, reply);
+      if (booked == Booked::kDelivered) return;
+      if (booked == Booked::kWrittenOff) break;
+      if (++attempt == policy.max_attempts) break;
+      ++out.retries;
+      retries_ctr.add();
+      obs::emit(obs::EventType::kFetchRetry, static_cast<double>(reply.node),
+                static_cast<double>(attempt));
+      if (booked == Booked::kDefer) {
+        order.push_back(loc);
+        return;  // no backoff — the collector moves on immediately
       }
-      // Budget exhausted or attempts spent: write the block off.
-      ++out.blocks_lost;
-      lost_ctr.add();
-      return;
+      out.sim_elapsed_us += backoff_us(policy, attempt - 1, rng);
     }
-    // Deferred location whose attempts ran out before it resurfaced.
-    ++out.blocks_lost;
-    lost_ctr.add();
+    // Written off, attempts spent, or a deferred location whose attempts
+    // ran out before it resurfaced.
+    write_off();
   };
 
   while (cursor < order.size() && !done()) {
     const net::LocationId loc = order[cursor++];
-    const net::NodeId node = channel.owner_of(loc);
-    if (blacklisted.contains(node) || channel.node_crashed(node)) {
-      ++out.blocks_lost;
-      lost_ctr.add();
-      continue;
-    }
-    fetch_with_retry(loc);
+    if (!write_off_unreachable(loc)) fetch_with_retry(loc);
   }
 
   result.decoded_levels = decoder.decoded_levels();

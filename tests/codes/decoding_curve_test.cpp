@@ -116,9 +116,40 @@ TEST(DecodingCurve, ThreadCountDoesNotChangeResults) {
   }
 }
 
+/// The decoding curve of `opt` with every block expanded to a dense
+/// coefficient vector before it reaches the decoder — the reference the
+/// driver's sparse feeding must reproduce. Same trial seeds and merge as
+/// simulate_decoding_curve.
+std::vector<CurvePoint> dense_fed_curve(Scheme scheme, const PrioritySpec& spec,
+                                        const PriorityDistribution& dist,
+                                        const CurveOptions& opt) {
+  const PriorityEncoder<F> encoder(scheme, spec, opt.encoder, nullptr);
+  static constexpr runtime::PointStat<CurvePoint> kStats[] = {
+      {&CurvePoint::mean_levels, &CurvePoint::ci95_levels},
+      {&CurvePoint::mean_blocks, &CurvePoint::ci95_blocks},
+  };
+  runtime::TrialRunner runner(1);
+  return runner.run_merged<CurvePoint>(opt.trials, opt.seed, kStats, [&](std::size_t, Rng& rng) {
+    PriorityDecoder<F> decoder(scheme, spec, 0);
+    std::vector<CurvePoint> rows;
+    for (std::size_t m = 1; m <= opt.block_counts.back(); ++m) {
+      decoder.add(encoder.encode_random(dist, rng));
+      if (m == opt.block_counts[rows.size()]) {
+        CurvePoint row;
+        row.coded_blocks = m;
+        row.mean_levels = static_cast<double>(decoder.decoded_levels());
+        row.mean_blocks = static_cast<double>(decoder.decoded_prefix_blocks());
+        rows.push_back(row);
+      }
+    }
+    return rows;
+  });
+}
+
 TEST(DecodingCurve, SparseBlocksMatchDenseBlocksAcrossThreads) {
-  // The sparse streaming path must reproduce the dense curve bit for bit
-  // (same RNG consumption in the encoder, exactly equivalent decoder
+  // A sparse coefficient model streams (index, value) blocks through the
+  // decoder's O(nnz) path; the curve must equal the dense-fed one bit for
+  // bit (same RNG consumption in the encoder, exactly equivalent decoder
   // arithmetic), at every thread count.
   const auto spec = PrioritySpec::uniform(4, 12);  // N = 48
   const auto dist = PriorityDistribution::uniform(4);
@@ -127,16 +158,15 @@ TEST(DecodingCurve, SparseBlocksMatchDenseBlocksAcrossThreads) {
     opt.block_counts = make_block_counts(10, 120, 6);
     opt.trials = 12;
     opt.seed = 77;
-    opt.threads = 1;
     opt.encoder.model = CoefficientModel::kSparse;
     opt.encoder.sparsity_factor = 2.0;
-    const auto dense = simulate_decoding_curve<F>(scheme, spec, dist, opt);
-    opt.sparse_blocks = true;
+    const auto dense = dense_fed_curve(scheme, spec, dist, opt);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       opt.threads = threads;
       const auto sparse = simulate_decoding_curve<F>(scheme, spec, dist, opt);
       ASSERT_EQ(dense.size(), sparse.size());
       for (std::size_t i = 0; i < dense.size(); ++i) {
+        EXPECT_EQ(dense[i].coded_blocks, sparse[i].coded_blocks);
         EXPECT_EQ(dense[i].mean_levels, sparse[i].mean_levels)
             << "scheme " << static_cast<int>(scheme) << " threads " << threads;
         EXPECT_EQ(dense[i].ci95_levels, sparse[i].ci95_levels);
@@ -161,7 +191,6 @@ TEST(DecodingCurve, ChunkedSparsityStillDecodesEverything) {
   opt.encoder.model = CoefficientModel::kSparse;
   opt.encoder.sparsity_factor = 3.0;
   opt.encoder.chunk_size = 16;
-  opt.sparse_blocks = true;
   const auto curve = simulate_decoding_curve<F>(Scheme::kPlc, spec, dist, opt);
   EXPECT_NEAR(curve.back().mean_levels, 2.0, 1e-9);
   EXPECT_NEAR(curve.back().mean_blocks, 64.0, 1e-9);

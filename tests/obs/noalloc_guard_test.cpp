@@ -20,6 +20,7 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 
 namespace {
 
@@ -62,6 +63,7 @@ TEST(NoAllocGuard, DisabledProbesNeverAllocate) {
   Gauge& gauge_ = gauge("test.noalloc.gauge");
   LatencyHistogram& hist = histogram("test.noalloc.hist");
   const SeriesId id = timeseries("test.noalloc.series");
+  TraceRecorder::global().stop();  // first use creates the recorder
   set_enabled(false);
   set_events_enabled(false);
   set_timeseries_enabled(false);
@@ -77,6 +79,9 @@ TEST(NoAllocGuard, DisabledProbesNeverAllocate) {
       sample(id, 3.0);
       set_logical_time(static_cast<std::uint64_t>(i));
       TrialScope scope(0, 0);  // disabled: must not open or preallocate
+      // Category longer than the small-string buffer: a disabled span
+      // must not copy it.
+      ScopedSpan span("trial", "integrity_experiment", {{"trial", 1.0}});
     }
   });
   EXPECT_EQ(allocs, 0u);

@@ -229,8 +229,9 @@ struct FaultHarness : TestHarness {
   Predistribution pd;
   codes::SourceData<Field> source;
 
-  FaultHarness()
-      : pd(overlay, spec, dist, params),
+  explicit FaultHarness(Scheme scheme = Scheme::kPlc)
+      : TestHarness(scheme),
+        pd(overlay, spec, dist, params),
         source(codes::SourceData<Field>::random(spec.total(), 6, rng)) {
     pd.disseminate(source, rng);
   }
@@ -612,6 +613,52 @@ TEST(IntegrityCollector, SlcFramesOutsideTheDecodersLevelsAreWireErrors) {
   EXPECT_GT(outcome.result.blocks_retrieved, 0u);
   EXPECT_LE(decoder.rank(), 4u);
   EXPECT_EQ(outcome.result.decoded_levels, 0u);
+}
+
+TEST(ResilientCollector, DrainSoakKeepsTheLedgerExact) {
+  // Drain-mode collections under every fault class at once (loud, silent
+  // and node-level), with a manifest, for every scheme; half the runs use
+  // a tight node budget so blacklisting, deferral and hedging interleave.
+  // Whatever the mix, the ledger must balance — every surviving location
+  // is either retrieved or written off — no fault class is detected more
+  // often than the channel injected it, and no decoded byte is wrong.
+  net::FaultSpec faults;
+  faults.timeout_rate = 0.1;
+  faults.transient_rate = 0.1;
+  faults.corrupt_rate = 0.1;
+  faults.truncate_rate = 0.05;
+  faults.crash_rate = 0.02;
+  faults.bitrot_rate = 0.05;
+  faults.byzantine_fraction = 0.1;
+  faults.slow_fraction = 0.2;
+  faults.flaky_fraction = 0.2;
+  for (const Scheme scheme : {Scheme::kPlc, Scheme::kSlc, Scheme::kRlc}) {
+    FaultHarness h(scheme);
+    const auto manifest = make_manifest(h);
+    for (const std::size_t budget : {std::size_t{2}, std::size_t{8}}) {
+      for (std::uint64_t seed = 0; seed < 50; ++seed) {
+        SCOPED_TRACE(std::string(codes::to_string(scheme)) + " budget " +
+                     std::to_string(budget) + " seed " + std::to_string(seed));
+        Rng rng(1000 + seed);
+        FaultyChannel channel(h.pd, net::FaultPlan(faults, h.overlay.nodes(), rng));
+        auto decoder = h.decoder();
+        CollectorOptions options;
+        options.manifest = &manifest;
+        options.retry.node_fault_budget = budget;
+        const CollectionOutcome out = collect(channel, decoder, options, rng);
+        const InjectedFaults& injected = channel.injected();
+        ASSERT_EQ(out.result.blocks_retrieved + out.blocks_lost,
+                  out.result.surviving_locations);
+        ASSERT_LE(out.faults.timeouts, injected.timeouts);
+        ASSERT_LE(out.faults.transient_errors, injected.transient_errors);
+        ASSERT_LE(out.faults.crashes, injected.crashes);
+        ASSERT_LE(out.faults.wire_errors, injected.corruptions + injected.truncations);
+        ASSERT_LE(out.faults.integrity_violations,
+                  injected.bitrot_frames + injected.byzantine_frames);
+        ASSERT_EQ(check_decoded_bytes(decoder, h.source).wrong_blocks, 0u);
+      }
+    }
+  }
 }
 
 TEST(IntegrityCollector, ManifestMustMatchTheSpec) {
